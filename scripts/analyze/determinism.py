@@ -1,5 +1,5 @@
-"""Determinism rules (folded in from scripts/lint_sim.py) plus the
-unordered-accumulation check.
+"""Simulation-determinism rules (ci.sh's blocking lint stage runs this
+group over src/, tests/, bench/ and examples/):
 
   wall-clock             host time / host randomness in simulated code
   unordered-iteration    range-for / begin() over unordered containers

@@ -3,8 +3,8 @@
 #
 #   format       clang-format --dry-run -Werror over src/ tests/ bench/
 #                (skipped with a notice when clang-format is not installed)
-#   lint         scripts/lint_sim.py determinism linter (thin wrapper over
-#                the analyzer's determinism rule group) — blocking
+#   lint         hybridmr-analyze --group=determinism over src/ tests/
+#                bench/ examples/ — blocking
 #   release      Release build + full ctest suite (also produces the
 #                compile database the next two stages resolve against)
 #   analyze      scripts/analyze/hybridmr-analyze full rule suite over src/
@@ -15,11 +15,6 @@
 #   concurrency  hybridmr-analyze --group=concurrency over src/, emitting
 #                the layer-keyed shared-state census (shared_state.json in
 #                the build root) — blocking, zero unbaselined findings
-#   state        hybridmr-analyze --group=state over src/, emitting the
-#                layer-keyed state-ownership census (state_graph.json in
-#                the build root; see docs/SNAPSHOT.md) — blocking: zero
-#                unclassified fields and a non-empty census (an empty one
-#                means the pass went vacuous)
 #   clang-tidy   bugprone/performance/modernize/cppcoreguidelines profile
 #                against the Release compile database (skipped with a
 #                notice when clang-tidy is not installed)
@@ -38,18 +33,15 @@
 #   chaos        bench_faults seeded chaos scenario in the sanitize and
 #                audit trees, determinism-diffed across two same-seed runs
 #   whatif       whole-engine fork suite: chaos fork-equivalence,
-#                fork-isolation and the IPS regressions under ASan/UBSan,
-#                the snapshot/fork audit guards in the audit tree, a
-#                same-seed bench_whatif sweep-fingerprint diff, and the
+#                fork-isolation and the IPS regressions under ASan/UBSan
+#                and in the audit tree, a same-seed bench_whatif
+#                sweep-fingerprint diff, and the
 #                warmed-vs-cold capacity sweep gated by perf_gate.py
 #                against BENCH_whatif.json (cold/forked >= 5x)
 #   determinism  two same-seed quickstart runs; telemetry artifacts must be
 #                byte-identical — once plain and once with HYBRIDMR_PROFILE=1
 #                (the profiler's wall-clock data must never leak into the
-#                reports, so profiled runs must stay byte-identical too);
-#                plus the snapshot fork-equivalence suite (tests/
-#                snapshot_test) re-run from the audit tree, so the
-#                restore path holds under every runtime invariant check
+#                reports, so profiled runs must stay byte-identical too)
 #   profile      simulation-profiler smoke in the sanitize tree: bench_scale
 #                scale/24 with --profile + armed watchdog, hotspot table via
 #                scripts/profile_report.py, and a work-counter fingerprint
@@ -117,9 +109,10 @@ else
 fi
 
 # --- lint (always-on, blocking) ---------------------------------------------
-echo "=== [lint] scripts/lint_sim.py ==="
-if python3 "$repo/scripts/lint_sim.py" "$repo/src" "$repo/tests" \
-    "$repo/bench" "$repo/examples"; then
+echo "=== [lint] hybridmr-analyze --group=determinism ==="
+if python3 "$repo/scripts/analyze/hybridmr-analyze" --engine tokens \
+    --group=determinism "$repo/src" "$repo/tests" "$repo/bench" \
+    "$repo/examples"; then
   note_stage lint PASS
 else
   note_stage lint FAIL
@@ -172,30 +165,6 @@ case $? in
     ;;
   1) note_stage concurrency "FAIL (findings)" ;;
   *) note_stage concurrency "FAIL (analyzer infrastructure error)" ;;
-esac
-
-# --- state: snapshot-safety census for the fork/checkpoint work (blocking) ---
-# Emits the layer-keyed state-ownership census (docs/SNAPSHOT.md): every
-# field of every root-reachable class classified into the five snapshot
-# kinds. Gate: zero findings (no unclassified fields, raw owners, orphan
-# back-references or hidden mutable-lambda state) AND a non-empty census —
-# a report with no annotated sites means the pass went vacuous, because
-# the core's sanctioned ephemerals and back-references are annotated.
-echo "=== [state] hybridmr-analyze --group=state ==="
-python3 "$repo/scripts/analyze/hybridmr-analyze" --group=state \
-    --state-graph-report "$root/state_graph.json" \
-    --sarif "$root/state.sarif" "$repo/src"
-case $? in
-  0)
-    if grep -q '"annotated": true' "$root/state_graph.json" 2>/dev/null; then
-      note_stage state PASS
-    else
-      echo "state: state-graph census lists no annotated sites"
-      note_stage state "FAIL (empty census)"
-    fi
-    ;;
-  1) note_stage state "FAIL (findings)" ;;
-  *) note_stage state "FAIL (analyzer infrastructure error)" ;;
 esac
 
 # --- clang-tidy (needs the compile database from the release tree) ----------
@@ -299,9 +268,8 @@ note_stage chaos "$chaos_result"
 # The fork-equivalence oracle (tests/whatif_test) and the IPS restore-path
 # regressions (tests/ips_regression_test) run in the sanitize tree — the
 # fork/pipe/waitpid plumbing and the forked children themselves must be
-# ASan/UBSan-clean — and in the audit tree, where the snapshot honesty
-# guards (registered state domains, uncaptured named Rng streams) become
-# live death tests. bench_whatif then sweeps forked capacity scenarios
+# ASan/UBSan-clean — and in the audit tree, where every runtime invariant
+# checkpoint is armed in parent and children. bench_whatif then sweeps forked capacity scenarios
 # from one warmed engine: two same-seed sweeps must report the same
 # deterministic fingerprint, and perf_gate.py holds the headline claim
 # (a forked scenario >= 5x cheaper than a cold start) via BENCH_whatif.json.
@@ -399,21 +367,6 @@ if [ -x "$qs" ]; then
   fi
 else
   echo "determinism: quickstart binary missing ($qs)"
-fi
-# Snapshot fork-equivalence under the audit build: restore() replays the
-# original run byte-for-byte while every runtime invariant checkpoint
-# (event conservation, monotonic time, no orphaned handlers) is compiled
-# in and armed across the snapshot/restore boundary.
-snap="$root/audit/tests/snapshot_test"
-if [ -x "$snap" ]; then
-  echo "=== [determinism] snapshot fork-equivalence in the audit tree ==="
-  if ! HYBRIDMR_AUDIT=1 "$snap" > /dev/null; then
-    echo "determinism: snapshot fork-equivalence failed under audit"
-    det_result=FAIL
-  fi
-else
-  echo "determinism: $snap missing (audit build failed?)"
-  det_result=FAIL
 fi
 note_stage determinism "$det_result"
 

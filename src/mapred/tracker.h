@@ -51,9 +51,7 @@ class TaskTracker {
 
  private:
   friend class MapReduceEngine;  // blacklist + dispatch-index management
-  // hmr-state(back-reference: owner=TestBed::mr_; re-point on fork)
   MapReduceEngine* engine_;
-  // hmr-state(back-reference: owner=HybridCluster::machines_/vms_)
   cluster::ExecutionSite* site_;
   int map_slots_;
   int reduce_slots_;

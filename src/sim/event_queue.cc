@@ -167,29 +167,6 @@ std::optional<EventQueue::Entry> EventQueue::pop() {
   return entry;
 }
 
-EventQueue::Snapshot EventQueue::snapshot() const {
-  gate_.assert_held();
-  // A verbatim copy, stale heap items and all: restore() must reproduce
-  // the exact lazy-deletion state, or the first skim() after a restore
-  // would diverge from the original run's pop order.
-  return Snapshot{heap_,          slots_,          free_slots_,
-                  live_,          next_seq_,       total_pushed_,
-                  total_cancelled_, total_deferred_, max_size_};
-}
-
-void EventQueue::restore(const Snapshot& snap) {
-  gate_.assert_held();
-  heap_ = snap.heap;
-  slots_ = snap.slots;
-  free_slots_ = snap.free_slots;
-  live_ = snap.live;
-  next_seq_ = snap.next_seq;
-  total_pushed_ = snap.total_pushed;
-  total_cancelled_ = snap.total_cancelled;
-  total_deferred_ = snap.total_deferred;
-  max_size_ = snap.max_size;
-}
-
 std::size_t EventQueue::clear() {
   gate_.assert_held();
   const std::size_t dropped = live_;

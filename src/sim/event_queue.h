@@ -28,7 +28,7 @@ using SimTime = double;
 /// The one sanctioned exact-equality comparison for SimTime values.
 ///
 /// SimTime is a double; raw `==`/`!=` on it is a determinism hazard the
-/// custom linter (scripts/lint_sim.py, rule simtime-eq) rejects. Exact
+/// analyzer's determinism rule simtime-eq (docs/ANALYSIS.md) rejects. Exact
 /// comparison is legitimate only where both operands came from the same
 /// computation (e.g. an event timestamp handed back by the queue); route
 /// those cases through this helper so they are visibly intentional.
@@ -144,32 +144,12 @@ class EventQueue {
     return max_size_;
   }
 
-  // Declared below (it needs the private Slot/HeapItem types); the public
-  // API is snapshot()/restore() + the struct itself.
-  struct Snapshot;
-
-  /// Verbatim value copy of the queue's full mechanics: the heap
-  /// *including* lazy-deleted and stale defer() items, every slot with its
-  /// pending handler, the free list, and all conservation counters.
-  /// Copying a slot copies its std::function, which aliases any pointer /
-  /// shared_ptr captures — the snapshot-safety contract (docs/SNAPSHOT.md):
-  /// restoring into the same object graph is exact; forking into a cloned
-  /// graph must re-point those captures (follow-up PR).
-  [[nodiscard]] Snapshot snapshot() const;
-
-  /// Replaces the queue's entire state with `snap`. Ids issued before the
-  /// snapshot was taken are valid again exactly as they were at that point.
-  void restore(const Snapshot& snap);
-
  private:
   // An EventId packs the slot index (low 32 bits, biased by one so the
   // all-zero id stays invalid) and the slot's generation at push time
   // (high 32 bits). A slot's generation bumps on every release, so stale
   // ids — fired, cancelled or cleared — can never alias a reused slot.
   struct Slot {
-    // hmr-state(owned-heap: copying a slot copies the closure, which
-    // ALIASES any pointer/shared_ptr captures — the snapshot contract in
-    // docs/SNAPSHOT.md; engine-wide fork re-points them)
     std::function<void()> fn;
     // Authoritative (time, seq) seat of the event. Heap items carry the
     // seat they were inserted with; defer() moves only the time (seq is
@@ -235,24 +215,6 @@ class EventQueue {
   std::uint64_t total_cancelled_ HMR_GUARDED_BY(gate_) = 0;
   std::uint64_t total_deferred_ HMR_GUARDED_BY(gate_) = 0;
   std::size_t max_size_ HMR_GUARDED_BY(gate_) = 0;
-};
-
-/// See EventQueue::snapshot(). Opaque to callers: members mirror the
-/// queue's own, field for field, and only snapshot()/restore() touch them.
-struct EventQueue::Snapshot {
-  // hmr-state(owned-heap: heap items are plain values; the handlers they
-  // reference live in `slots`)
-  std::priority_queue<HeapItem, std::vector<HeapItem>, Later> heap;
-  // hmr-state(owned-heap: copied closures alias their captures — see the
-  // snapshot contract in docs/SNAPSHOT.md)
-  std::vector<Slot> slots;
-  std::vector<std::uint32_t> free_slots;
-  std::size_t live = 0;
-  std::uint64_t next_seq = 0;
-  std::uint64_t total_pushed = 0;
-  std::uint64_t total_cancelled = 0;
-  std::uint64_t total_deferred = 0;
-  std::size_t max_size = 0;
 };
 
 }  // namespace hybridmr::sim

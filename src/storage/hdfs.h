@@ -35,7 +35,6 @@ class DataNode {
   void add_stored(sim::MegaBytes mb) { stored_mb_ += mb; }
 
  private:
-  // hmr-state(back-reference: owner=HybridCluster; the datanode's host)
   cluster::ExecutionSite* site_;
   sim::MegaBytes stored_mb_;
 };

@@ -120,7 +120,6 @@ class Histogram {
 
   double lo_;
   double hi_;
-  // hmr-state(ephemeral: histogram buckets; a fork re-accumulates its own)
   std::array<std::uint64_t, kBuckets> counts_{};
   std::uint64_t count_ = 0;
   double sum_ = 0;

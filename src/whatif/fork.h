@@ -1,9 +1,8 @@
-// What-if engine: full-engine snapshot/fork by address-space clone.
+// What-if engine: full-engine fork by address-space clone.
 //
-// The state census (docs/SNAPSHOT.md) enumerates what a full-engine fork
-// must preserve: owned values and heap state copied, shared primaries
-// cloned exactly once, back-references re-pointed, every named Rng stream
-// resumed in place. One mechanism satisfies all five obligations at byte
+// A full-engine fork must preserve every owned value and heap structure,
+// every shared object exactly once, every back-reference, and every named
+// Rng stream's position. One mechanism satisfies all of that at byte
 // fidelity for the single-threaded deterministic simulator: fork(2). The
 // child is a copy-on-write clone of the whole address space, so every
 // pointer-keyed map keeps its iteration order, every type-erased handler

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """ctest driver for scripts/analyze/hybridmr-analyze.
 
-Nine checks:
+Seven checks:
 
   1. fixtures   The known-violation tree under tests/analyze/fixtures/
                 produces EXACTLY the expected (rule, file, line) set —
@@ -14,9 +14,10 @@ Nine checks:
                 bindings must abort with a nonzero exit and an explicit
                 refusal, never silently skip (skipped when the bindings
                 are actually importable).
-  4. wrapper    scripts/lint_sim.py still finds determinism violations
-                when handed a fixture file directly (the delegation path
-                ci.sh's lint stage uses).
+  4. lint       --group=determinism finds determinism violations when
+                handed a fixture file directly and is clean over src/,
+                tests/, bench/ and examples/ (the invocation ci.sh's lint
+                stage uses).
   5. report     --group=concurrency --shared-state-report emits the
                 layer-keyed census: sanctioned fixture statics appear as
                 annotated sites, acknowledged cross-machine handlers as
@@ -25,20 +26,9 @@ Nine checks:
                 dirty-set).
   6. exit codes 0 clean / 1 findings / 2 configuration-or-internal
                 error: unknown rules, --shared-state-report without the
-                concurrency rules, --state-graph-report without the
-                state rules, and an unwritable report path must all
-                exit 2, never 0 or 1.
-  7. state      The state-rule fixture tree under fixtures/state/
-                produces exactly the pinned (rule, file, line) set for
-                all four state rules, the suppressed/annotated decoys
-                stay silent, and the census records the sanctioned
-                sites (ephemeral/back-reference annotations, hidden-
-                state sanctions, shared primary/observer roles).
-  8. src census The real src/ tree passes the state group with ZERO
-                unclassified fields, and the state-graph census lists
-                the annotated core sites the snapshot contract relies
-                on (Simulation probe_, scratch/offer-set ephemerals).
-  9. catalog    --list-rules prints every registered rule; --sarif
+                concurrency rules, and an unwritable report path must
+                all exit 2, never 0 or 1.
+  7. catalog    --list-rules prints every registered rule; --sarif
                 emits a parseable SARIF 2.1.0 log whose results agree
                 with the findings.
 """
@@ -53,7 +43,6 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[2]
 ANALYZE = REPO / "scripts" / "analyze" / "hybridmr-analyze"
-LINT_SIM = REPO / "scripts" / "lint_sim.py"
 FIXTURES = REPO / "tests" / "analyze" / "fixtures"
 
 # (rule, fixture-relative file, 1-based line). Keep in sync with the
@@ -89,14 +78,11 @@ EXPECTED = sorted([
     ("handler-cross-machine", "src/cluster/conc_handler_bad.cc", 19),
 ])
 
-# Pinned findings for the state-rule fixture tree (run with
-# --root fixtures/state, so file paths are relative to that root).
-STATE_EXPECTED = sorted([
-    ("state-unclassified-field", "src/sim/state_bad.h", 27),
-    ("state-raw-owner", "src/sim/state_bad.h", 28),
-    ("state-backref-cycle", "src/sim/state_bad.h", 29),
-    ("state-hidden-state", "src/sim/state_bad.cc", 20),
-])
+# The determinism-group subset of EXPECTED (the lint stage's rules).
+DETERMINISM_RULES = {"wall-clock", "unordered-iteration",
+                     "unordered-accumulation", "simtime-eq",
+                     "eager-recompute"}
+DETERMINISM_EXPECTED = [e for e in EXPECTED if e[0] in DETERMINISM_RULES]
 
 failures: list[str] = []
 
@@ -146,17 +132,20 @@ if probe.returncode != 0:
 else:
     print("skip --engine libclang abort checks (bindings present)")
 
-# --- 4. lint_sim.py wrapper delegation ---------------------------------
-p = run(str(LINT_SIM), str(FIXTURES / "src" / "sim" / "determ_bad.cc"))
-check("lint_sim.py wrapper finds determinism violations (exit 1)",
+# --- 4. determinism group, as ci.sh's lint stage runs it ---------------
+LINT = [str(ANALYZE), "--engine", "tokens", "--group=determinism"]
+p = run(*LINT, str(FIXTURES / "src" / "sim" / "determ_bad.cc"))
+check("determinism group finds violations (exit 1)",
       p.returncode == 1, f"exit {p.returncode}\n{p.stdout}\n{p.stderr}")
-check("wrapper reports wall-clock", "[wall-clock]" in p.stdout, p.stdout)
-check("wrapper omits src-only rules", "[dim-raw-double]" not in p.stdout
+check("determinism group reports wall-clock", "[wall-clock]" in p.stdout,
+      p.stdout)
+check("determinism group omits other groups' rules",
+      "[dim-raw-double]" not in p.stdout
       and "[capture-lifetime]" not in p.stdout, p.stdout)
 
-p = run(str(LINT_SIM), str(REPO / "src"), str(REPO / "tests"),
+p = run(*LINT, str(REPO / "src"), str(REPO / "tests"),
         str(REPO / "bench"), str(REPO / "examples"))
-check("lint_sim.py clean over src/tests/bench/examples (exit 0)",
+check("determinism group clean over src/tests/bench/examples (exit 0)",
       p.returncode == 0, f"exit {p.returncode}\n{p.stdout}")
 
 # --- 5. shared-state report content ------------------------------------
@@ -204,93 +193,20 @@ with tempfile.TemporaryDirectory() as td:
               for layer in report["shared_state"].values() for s in layer),
           str(report["shared_state"]))
 
-# --- 7. state-rule fixture tree ----------------------------------------
-STATE_FIXTURES = FIXTURES / "state"
-with tempfile.TemporaryDirectory() as td:
-    out = Path(td) / "findings.json"
-    census_path = Path(td) / "census.json"
-    p = run(str(ANALYZE), "--root", str(STATE_FIXTURES), "--no-baseline",
-            "--engine", "tokens", "--group", "state",
-            "--state-graph-report", str(census_path),
-            "--json", str(out), str(STATE_FIXTURES / "src"))
-    check("state fixtures exit status is 1", p.returncode == 1,
-          f"got {p.returncode}\n{p.stdout}\n{p.stderr}")
-    payload = json.loads(out.read_text(encoding="utf-8"))
-    got = sorted((f["rule"], f["file"], f["line"])
-                 for f in payload["findings"])
-    missing = [e for e in STATE_EXPECTED if e not in got]
-    extra = [g for g in got if g not in STATE_EXPECTED]
-    check("state fixture findings match expected set",
-          not missing and not extra, f"missing={missing} extra={extra}")
-    census = json.loads(census_path.read_text(encoding="utf-8"))
-    sim_fields = {f["name"]: f
-                  for f in census["layers"]["sim"]["classes"]["Simulation"]
-                  ["fields"]}
-    check("annotated ephemeral sanction is censused, not flagged",
-          sim_fields["scratch_"]["kind"] == "ephemeral"
-          and sim_fields["scratch_"]["annotated"], str(sim_fields))
-    check("annotated back-reference sanction carries its owner note",
-          sim_fields["harness_orphan_"]["annotated"]
-          and "harness" in sim_fields["harness_orphan_"].get("note", ""),
-          str(sim_fields.get("harness_orphan_")))
-    check("suppressed unclassified field still counts in the census",
-          census["summary"]["unclassified"] == 2, str(census["summary"]))
-    hidden = {(h["line"], h["sanctioned"])
-              for h in census["hidden_state"]}
-    check("hidden-state sites: violation+suppressed unsanctioned, "
-          "annotated sanctioned",
-          hidden == {(20, False), (22, False), (25, True)}, str(hidden))
-    tb_fields = {f["name"]: f
-                 for f in census["layers"]["cluster"]["classes"]["TestBed"]
-                 ["fields"]}
-    check("shared primary/observer roles recorded",
-          tb_fields["primary_"].get("role") == "primary"
-          and tb_fields["observer_"].get("role") == "observer",
-          str(tb_fields))
-    check("owner-satisfied back-reference needs no annotation",
-          tb_fields["into_pool_"]["kind"] == "back-reference"
-          and not tb_fields["into_pool_"]["annotated"], str(tb_fields))
-
-# --- 8. real src/ state census: exhaustive, zero unclassified ----------
-with tempfile.TemporaryDirectory() as td:
-    census_path = Path(td) / "state_graph.json"
-    p = run(str(ANALYZE), "--engine", "tokens", "--group", "state",
-            "--state-graph-report", str(census_path), str(REPO / "src"))
-    check("src/ state group is clean (exit 0)", p.returncode == 0,
-          f"exit {p.returncode}\n{p.stdout}")
-    census = json.loads(census_path.read_text(encoding="utf-8"))
-    check("src/ census has zero unclassified fields",
-          census["summary"]["unclassified"] == 0, str(census["summary"]))
-    check("src/ census reaches the sim core",
-          census["summary"]["reachable_classes"] > 0
-          and census["summary"]["fields"] > 0, str(census["summary"]))
-    annotated = {(cls["file"], fname, f["kind"])
-                 for layer in census["layers"].values()
-                 for cname, cls in layer["classes"].items()
-                 for f in cls["fields"] if f["annotated"]
-                 for fname in [f["name"]]}
-    for site in [("src/sim/simulation.h", "probe_", "back-reference"),
-                 ("src/cluster/machine.h", "scratch_demands_", "ephemeral"),
-                 ("src/mapred/engine.h", "offer_map_", "ephemeral"),
-                 ("src/telemetry/profiler.h", "counts_", "ephemeral")]:
-        check(f"src/ state census lists annotated site {site[1]}",
-              site in annotated, str(sorted(annotated)))
-    check("src/ census spans multiple layers",
-          len(census["layers"]) >= 6, str(sorted(census["layers"])))
-
-# --- 9. rule catalog and SARIF output ----------------------------------
+# --- 7. rule catalog and SARIF output ----------------------------------
 p = run(str(ANALYZE), "--list-rules")
 check("--list-rules exits 0", p.returncode == 0, f"exit {p.returncode}")
-for rule in ["dim-raw-double", "state-unclassified-field",
-             "state-hidden-state", "shared-mutable-state", "wall-clock"]:
+for rule in ["dim-raw-double", "layer-cycle", "capture-lifetime",
+             "shared-mutable-state", "wall-clock"]:
     check(f"--list-rules names {rule}", rule in p.stdout, p.stdout)
 
 with tempfile.TemporaryDirectory() as td:
     sarif_path = Path(td) / "findings.sarif"
-    p = run(str(ANALYZE), "--root", str(STATE_FIXTURES), "--no-baseline",
-            "--engine", "tokens", "--group", "state",
-            "--sarif", str(sarif_path), str(STATE_FIXTURES / "src"))
-    check("state fixtures with --sarif still exit 1", p.returncode == 1,
+    p = run(str(ANALYZE), "--root", str(FIXTURES), "--no-baseline",
+            "--engine", "tokens", "--group", "determinism",
+            "--sarif", str(sarif_path), str(FIXTURES / "src"))
+    check("determinism fixtures with --sarif still exit 1",
+          p.returncode == 1,
           f"exit {p.returncode}\n{p.stderr}")
     sarif = json.loads(sarif_path.read_text(encoding="utf-8"))
     check("sarif declares version 2.1.0", sarif.get("version") == "2.1.0",
@@ -301,12 +217,12 @@ with tempfile.TemporaryDirectory() as td:
                   ["uri"],
                   r["locations"][0]["physicalLocation"]["region"]
                   ["startLine"]) for r in results)
-    check("sarif results agree with the pinned state findings",
-          got == STATE_EXPECTED, f"got={got}")
+    check("sarif results agree with the pinned determinism findings",
+          got == DETERMINISM_EXPECTED, f"got={got}")
     rules = {r["id"] for r in
              sarif["runs"][0]["tool"]["driver"]["rules"]}
     check("sarif rule metadata covers the fired rules",
-          {r for r, _f, _l in STATE_EXPECTED} <= rules, str(rules))
+          {r for r, _f, _l in DETERMINISM_EXPECTED} <= rules, str(rules))
 
 # --- 6. exit-code hygiene: config/internal errors are 2, never 0/1 -----
 p = run(str(ANALYZE), "--rules", "no-such-rule", str(REPO / "src"))
@@ -317,15 +233,6 @@ p = run(str(ANALYZE), "--rules", "dimensions",
         "--shared-state-report", "anywhere.json", str(REPO / "src"))
 check("--shared-state-report without concurrency rules exits 2",
       p.returncode == 2, f"exit {p.returncode}\n{p.stderr}")
-p = run(str(ANALYZE), "--rules", "dimensions",
-        "--state-graph-report", "anywhere.json", str(REPO / "src"))
-check("--state-graph-report without state rules exits 2",
-      p.returncode == 2, f"exit {p.returncode}\n{p.stderr}")
-p = run(str(ANALYZE), "--engine", "tokens", "--group", "state",
-        "--state-graph-report", "/nonexistent-dir/state.json",
-        str(REPO / "src"))
-check("unwritable state-graph path exits 2", p.returncode == 2,
-      f"exit {p.returncode}\n{p.stderr}")
 p = run(str(ANALYZE), "--engine", "tokens", "--group", "concurrency",
         "--shared-state-report", "/nonexistent-dir/report.json",
         str(REPO / "src"))

@@ -1,10 +1,14 @@
-// EventQueue cancellation edge cases: lifetimes and cancellation races that
-// the happy-path tests in sim_test.cc do not reach. These pin down the
-// lazy-cancellation contract (cancel never restructures the heap, handlers
-// die exactly once) that the leak-clean teardown work relies on.
+// EventQueue cancellation and rescheduling edge cases: lifetimes,
+// cancellation races and defer()/repush() seats that the happy-path tests
+// in sim_test.cc do not reach. These pin down the lazy-deletion contract
+// (cancel and defer never restructure the heap, stale items reconcile at
+// the head, handlers die exactly once, same-time ties resolve in creation
+// order) that the leak-clean teardown and coalesced reallocation rely on.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -131,6 +135,126 @@ TEST(SimulationEdge, CancelFromRunningCallback) {
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
   EXPECT_DOUBLE_EQ(sim.now(), 3.0);
+}
+
+// Pops and fires every live event, recording (label, fire time).
+std::vector<std::pair<std::string, SimTime>> drain(
+    EventQueue& q, std::vector<std::string>& fired) {
+  std::vector<std::pair<std::string, SimTime>> out;
+  while (auto e = q.pop()) {
+    e->fn();
+    out.emplace_back(fired.back(), e->time);
+  }
+  return out;
+}
+
+using Fired = std::vector<std::pair<std::string, SimTime>>;
+
+TEST(EventQueueDefer, PostponeFiresOnceAtTheNewTime) {
+  EventQueue q;
+  std::vector<std::string> fired;
+  const EventId a = q.push(60.0, [&] { fired.push_back("a"); });
+  q.push(70.0, [&] { fired.push_back("b"); });
+  ASSERT_TRUE(q.defer(a, 90.0));
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.total_deferred(), 1u);
+  EXPECT_EQ(drain(q, fired), (Fired{{"b", 70.0}, {"a", 90.0}}));
+  // Deferring keeps the id: it names the event until it fires.
+  EXPECT_FALSE(q.defer(a, 100.0));
+  EXPECT_FALSE(q.cancel(a));
+}
+
+TEST(EventQueueDefer, AdvanceFiresOnceAtTheEarlierTime) {
+  EventQueue q;
+  std::vector<std::string> fired;
+  const EventId a = q.push(70.0, [&] { fired.push_back("a"); });
+  q.push(60.0, [&] { fired.push_back("b"); });
+  ASSERT_TRUE(q.defer(a, 55.0));
+  // The superseded item at 70 skims away as a dead duplicate.
+  EXPECT_EQ(drain(q, fired), (Fired{{"a", 55.0}, {"b", 60.0}}));
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.total_pushed(), 2u);
+  EXPECT_EQ(q.total_cancelled(), 0u);
+}
+
+// defer() never consumes a tie-break seq: at a shared timestamp the
+// rescheduled event keeps its creation-order seat, whichever way it moved.
+TEST(EventQueueDefer, SameTimeTiesKeepCreationOrderAcrossDefer) {
+  EventQueue q;
+  std::vector<std::string> fired;
+  const EventId early = q.push(10.0, [&] { fired.push_back("early"); });
+  const EventId late = q.push(80.0, [&] { fired.push_back("late"); });
+  q.push(52.0, [&] { fired.push_back("x"); });
+  q.push(52.0, [&] { fired.push_back("y"); });
+  ASSERT_TRUE(q.defer(early, 52.0));  // postponed onto the tie
+  ASSERT_TRUE(q.defer(late, 52.0));   // advanced onto the tie
+  EXPECT_EQ(drain(q, fired), (Fired{{"early", 52.0},
+                                    {"late", 52.0},
+                                    {"x", 52.0},
+                                    {"y", 52.0}}));
+}
+
+TEST(EventQueueDefer, RepushInheritsTheTieBreakSeat) {
+  EventQueue q;
+  std::vector<std::string> fired;
+  const EventId moved = q.push(80.0, [&] { fired.push_back("moved"); });
+  q.push(58.0, [&] { fired.push_back("x"); });
+  const EventId fresh = q.repush(moved, 58.0);
+  ASSERT_TRUE(fresh.valid());
+  EXPECT_FALSE(q.cancel(moved));  // the old id died with the cancel
+  EXPECT_EQ(q.total_pushed(), 3u);
+  EXPECT_EQ(q.total_cancelled(), 1u);
+  EXPECT_EQ(drain(q, fired), (Fired{{"moved", 58.0}, {"x", 58.0}}));
+  EXPECT_FALSE(q.repush(fresh, 90.0).valid());  // already fired
+}
+
+// Cancelled items and every stale seat a chain of defers leaves behind are
+// reconciled at the head: next_time() reports the authoritative time, the
+// event fires exactly once, and nothing stale ever resurfaces.
+TEST(EventQueueDefer, StaleHeapItemsReconcileAtTheHead) {
+  EventQueue q;
+  std::vector<std::string> fired;
+  const EventId victim = q.push(10.0, [&] { fired.push_back("victim"); });
+  const EventId b = q.push(20.0, [&] { fired.push_back("b"); });
+  q.push(45.0, [&] { fired.push_back("c"); });
+  ASSERT_TRUE(q.cancel(victim));
+  ASSERT_TRUE(q.defer(b, 30.0));  // postpone: stale item left at 20
+  ASSERT_TRUE(q.defer(b, 40.0));  // postpone again: the seat moves, no push
+  ASSERT_TRUE(q.defer(b, 25.0));  // advance: a duplicate item at 25
+  ASSERT_TRUE(q.defer(b, 50.0));  // postpone past c
+  EXPECT_EQ(q.size(), 2u);
+  ASSERT_TRUE(q.next_time().has_value());
+  EXPECT_DOUBLE_EQ(*q.next_time(), 45.0);
+  EXPECT_EQ(drain(q, fired), (Fired{{"c", 45.0}, {"b", 50.0}}));
+  EXPECT_FALSE(q.next_time().has_value());
+  EXPECT_EQ(q.total_deferred(), 4u);
+  // Conservation counts events, not heap items: 3 pushed = 2 fired + 1
+  // cancelled + 0 live.
+  EXPECT_EQ(q.total_pushed(), 3u);
+  EXPECT_EQ(q.total_cancelled(), 1u);
+}
+
+// Simulation-level: a flush hook runs before the next dispatch, while the
+// clock still reads the previous event's time, so the event it schedules
+// is anchored there and is attributed to the flush boundary.
+TEST(SimulationEdge, FlushHookSpawnedEventsFireInOrder) {
+  Simulation sim;
+  std::vector<std::pair<std::string, SimTime>> fired;
+  bool request = false;
+  sim.add_flush_hook([&] {
+    if (!request) return;
+    request = false;
+    sim.after(2.5, [&] { fired.emplace_back("spawned", sim.now()); });
+  });
+  sim.at(49.0, [&] { request = true; });
+  sim.at(50.0, [&] { fired.emplace_back("x", sim.now()); });
+  const EventId y = sim.at(60.0, [&] { fired.emplace_back("y", sim.now()); });
+  ASSERT_TRUE(sim.defer(y, 51.0));
+  sim.run();
+  EXPECT_EQ(fired, (Fired{{"x", 50.0}, {"y", 51.0}, {"spawned", 51.5}}));
+  EXPECT_EQ(sim.flush_scheduled_events(), 1u);
+  EXPECT_EQ(sim.events_processed(), 4u);
+  EXPECT_EQ(sim.events_deferred(), 1u);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Unit tests for the discrete-event simulation kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -196,6 +198,55 @@ TEST(Rng, ShuffleIsPermutation) {
   rng.shuffle(std::span<int>(v));
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, original);
+}
+
+std::vector<double> draws(Rng& rng, int n) {
+  std::vector<double> out;
+  for (int i = 0; i < n; ++i) out.push_back(rng.uniform());
+  return out;
+}
+
+TEST(NamedRng, SameNameAndSeedGiveTheSameDraws) {
+  Simulation a(21);
+  Simulation b(21);
+  EXPECT_EQ(draws(a.named_rng("faults.injector"), 8),
+            draws(b.named_rng("faults.injector"), 8));
+  // An explicit seed wins over the name-derived one.
+  Rng reference(5);
+  EXPECT_EQ(draws(a.named_rng("explicit", 5), 8), draws(reference, 8));
+}
+
+TEST(NamedRng, DifferentNamesGiveIndependentDraws) {
+  Simulation sim(21);
+  Simulation other(21);
+  Rng& faults = sim.named_rng("faults.injector");
+  Rng& jitter = sim.named_rng("cluster.dirty_jitter");
+  EXPECT_NE(draws(faults, 4), draws(jitter, 4));
+  // Drawing from one stream (and from the main Rng) never moves another:
+  // `jitter` resumes exactly where an untouched same-seed stream does.
+  draws(faults, 16);
+  draws(sim.rng(), 16);
+  Rng& untouched = other.named_rng("cluster.dirty_jitter");
+  draws(untouched, 4);
+  EXPECT_EQ(draws(jitter, 8), draws(untouched, 8));
+}
+
+TEST(NamedRng, ReferencesStayValidAsStreamsAreAdded) {
+  Simulation sim(21);
+  Simulation reference(21);
+  Rng& first = sim.named_rng("first");
+  const std::vector<double> head = draws(first, 3);
+  for (int i = 0; i < 64; ++i) sim.named_rng("later" + std::to_string(i));
+  // Lookups resolve to the same stream; a seed for a live stream is
+  // ignored, and the stream continues mid-sequence.
+  EXPECT_EQ(&sim.named_rng("first"), &first);
+  EXPECT_EQ(&sim.named_rng("first", 777), &first);
+  Rng& ref = reference.named_rng("first");
+  EXPECT_EQ(draws(ref, 3), head);
+  EXPECT_EQ(draws(first, 5), draws(ref, 5));
+  const auto names = sim.named_rng_streams();
+  EXPECT_EQ(names.size(), 65u);
+  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
 }
 
 }  // namespace
