@@ -5,12 +5,34 @@
 //
 // Prints job phase timings, locality and utilization metrics — a handy way
 // to poke at the substrate.
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "harness/testbed.h"
 #include "workload/benchmarks.h"
+
+namespace {
+
+// Whole-argument numeric parses: trailing junk, overflow and an empty
+// string are all rejected (atoi/atof would quietly read them as 0).
+bool parse_int(const char* text, long& out) {
+  char* end = nullptr;
+  errno = 0;
+  out = std::strtol(text, &end, 10);
+  return end != text && *end == '\0' && errno == 0;
+}
+
+bool parse_double(const char* text, double& out) {
+  char* end = nullptr;
+  errno = 0;
+  out = std::strtod(text, &end);
+  return end != text && *end == '\0' && errno == 0;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace hybridmr;
@@ -22,7 +44,15 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string bench = argv[1];
-  const int nodes = std::atoi(argv[2]);
+  constexpr long kMaxNodes = 100000;
+  long nodes_arg = 0;
+  if (!parse_int(argv[2], nodes_arg) || nodes_arg < 1 ||
+      nodes_arg > kMaxNodes) {
+    std::fprintf(stderr, "nodes must be an integer in [1, %ld], got '%s'\n",
+                 kMaxNodes, argv[2]);
+    return 2;
+  }
+  const int nodes = static_cast<int>(nodes_arg);
   const std::string mode = argv[3];
 
   mapred::JobSpec spec;
@@ -32,7 +62,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
-  if (argc > 4) spec = spec.with_input_gb(std::atof(argv[4]));
+  if (argc > 4) {
+    double gb = 0;
+    if (!parse_double(argv[4], gb)) {
+      std::fprintf(stderr, "data_gb must be a number, got '%s'\n", argv[4]);
+      return 2;
+    }
+    spec = spec.with_input_gb(gb);
+  }
 
   harness::TestBed bed;
   if (mode == "native") {
@@ -48,7 +85,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  mapred::Job* job = bed.mr().submit(spec);
+  mapred::Job* job = nullptr;
+  try {
+    job = bed.mr().submit(spec);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
   bed.sim().run();
   const double end = bed.sim().now();
 

@@ -143,9 +143,20 @@ double InterferencePreventionSystem::batch_progress() const {
 void InterferencePreventionSystem::escalate(TaskAttempt& attempt) {
   auto it = actions_.find(&attempt);
   if (it == actions_.end()) {
-    // Level 1: throttle the task's shares.
-    Resources caps = attempt.current_demand() * options_.throttle_factor;
-    caps.memory = attempt.caps().memory;  // heap cannot shrink in flight
+    // Level 1: throttle the task's shares on the dimensions it is using
+    // now. A dimension idle at this instant (disk and network during a
+    // compute phase) keeps its cap: capping it at zero would freeze the
+    // attempt in its next I/O phase, where it shows no demand to escalate
+    // on. Memory is never throttled: the heap cannot shrink in flight.
+    const Resources demand = attempt.current_demand();
+    Resources caps = attempt.caps();
+    for (const auto kind : {cluster::ResourceKind::kCpu,
+                            cluster::ResourceKind::kDisk,
+                            cluster::ResourceKind::kNet}) {
+      if (demand[kind] > 0) {
+        caps[kind] = demand[kind] * options_.throttle_factor;
+      }
+    }
     attempt.set_caps(caps);
     actions_[&attempt] = ActionLevel::kThrottled;
     ++stats_.throttles;
@@ -430,14 +441,18 @@ void InterferencePreventionSystem::restore_where_healthy() {
     const bool eligible = !monitored || healthy_streak_[host] >= needed;
     if (eligible) to_restore.push_back(attempt);
   }
-  // Deterministic restore order: oldest attempt first (the action map is
-  // keyed by pointer, whose order is not reproducible).
+  // Deterministic restore order: oldest attempt first, ties broken by
+  // stable ids. The per-epoch restore budget makes this order a decision,
+  // and (start time, task index) alone ties across jobs and task types.
   std::sort(to_restore.begin(), to_restore.end(),
             [](const TaskAttempt* a, const TaskAttempt* b) {
               if (a->started_at() != b->started_at()) {
                 return a->started_at() < b->started_at();
               }
-              return a->task().index() < b->task().index();
+              if (a->task().index() != b->task().index()) {
+                return a->task().index() < b->task().index();
+              }
+              return mapred::stable_less(*a, *b);
             });
   for (TaskAttempt* a : to_restore) {
     if (restored >= options_.max_restores_per_epoch) break;

@@ -1,8 +1,10 @@
 #include "mapred/engine.h"
 
 #include <algorithm>
-#include <cassert>
+#include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "audit/invariants.h"
 #include "sim/log.h"
@@ -14,6 +16,44 @@ namespace {
 
 /// Jobs share one timeline track in the trace; tasks go on their site's.
 constexpr const char* kJobTrack = "jobs";
+
+[[noreturn]] void reject(const JobSpec& spec, const std::string& problem) {
+  throw std::invalid_argument("MapReduceEngine::submit: job '" + spec.name +
+                              "': " + problem);
+}
+
+// Library-boundary check: a non-finite or non-positive input would stage
+// no blocks or an endless file and leave the job running forever.
+void validate(const JobSpec& spec) {
+  if (!std::isfinite(spec.input_gb) || spec.input_gb <= 0) {
+    reject(spec, "input_gb must be finite and > 0, got " +
+                     std::to_string(spec.input_gb));
+  }
+  const std::pair<const char*, double> non_negative[] = {
+      {"map_cpu_s_per_mb", spec.map_cpu_s_per_mb.value()},
+      {"reduce_cpu_s_per_mb", spec.reduce_cpu_s_per_mb.value()},
+      {"sort_cpu_s_per_mb", spec.sort_cpu_s_per_mb.value()},
+      {"map_selectivity", spec.map_selectivity},
+      {"reduce_output_ratio", spec.reduce_output_ratio},
+      {"task_memory_mb", spec.task_memory_mb.value()},
+      {"split_mb", spec.split_mb.value()},
+      {"desired_jct_s", spec.desired_jct_s.value()},
+  };
+  for (const auto& [field, value] : non_negative) {
+    if (!std::isfinite(value) || value < 0) {
+      reject(spec, std::string(field) + " must be finite and >= 0, got " +
+                       std::to_string(value));
+    }
+  }
+  if (spec.num_reducers < 0) {
+    reject(spec, "num_reducers must be >= 0, got " +
+                     std::to_string(spec.num_reducers));
+  }
+  if (spec.output_replicas < 0) {
+    reject(spec, "output_replicas must be >= 0, got " +
+                     std::to_string(spec.output_replicas));
+  }
+}
 
 }  // namespace
 
@@ -96,6 +136,9 @@ int MapReduceEngine::reducers_for(const JobSpec& spec) const {
 }
 
 Job* MapReduceEngine::submit(const JobSpec& spec, PlacementPool pool) {
+  validate(spec);
+  if (trackers_.empty()) reject(spec, "no TaskTracker to run on");
+  if (hdfs_.datanodes().empty()) reject(spec, "no DataNode to stage input on");
   const auto input = hdfs_.stage_file(
       spec.name + "-input-" + std::to_string(jobs_.size()), spec.input_mb(),
       spec.split_mb);
@@ -104,7 +147,8 @@ Job* MapReduceEngine::submit(const JobSpec& spec, PlacementPool pool) {
 
 Job* MapReduceEngine::submit(const JobSpec& spec, storage::Hdfs::FileId input,
                              PlacementPool pool) {
-  assert(!trackers_.empty() && "submit needs at least one TaskTracker");
+  validate(spec);
+  if (trackers_.empty()) reject(spec, "no TaskTracker to run on");
   const int id = static_cast<int>(jobs_.size());
   jobs_.push_back(std::make_unique<Job>(id, spec));
   Job* job = jobs_.back().get();

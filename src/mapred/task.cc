@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <tuple>
 #include <unordered_map>
 
 #include "audit/invariants.h"
@@ -46,13 +47,26 @@ void Task::sync_pending() {
 
 // ------------------------------------------------------------- attempt ----
 
+// TaskTracker::launch appends the attempt to its task right after
+// construction, so the current attempt count is this attempt's number.
 TaskAttempt::TaskAttempt(Task& task, TaskTracker& tracker,
                          MapReduceEngine& engine)
-    : task_(&task), tracker_(&tracker), engine_(&engine) {}
+    : task_(&task),
+      tracker_(&tracker),
+      engine_(&engine),
+      number_(static_cast<int>(task.attempts().size())) {}
 
 TaskAttempt::~TaskAttempt() { teardown(); }
 
 cluster::ExecutionSite& TaskAttempt::site() const { return tracker_->site(); }
+
+bool stable_less(const TaskAttempt& a, const TaskAttempt& b) {
+  const auto key = [](const TaskAttempt& x) {
+    return std::tuple(x.task().job().id(), x.task().type(), x.task().index(),
+                      x.number());
+  };
+  return key(a) < key(b);
+}
 
 std::string TaskAttempt::label() const {
   const Job& job = task_->job();
