@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "cluster/cluster.h"
+#include "cluster/machine.h"
 #include "harness/testbed.h"
 #include "sim/event_queue.h"
 #include "sim/simulation.h"
@@ -41,6 +42,33 @@ void BM_EventCancellation(benchmark::State& state) {
 }
 BENCHMARK(BM_EventCancellation)->Arg(10000);
 
+// The reallocation engine's queue pattern: every live completion event is
+// rescheduled many times before it fires, alternately postponed and
+// advanced, with the tie-break seats of a workload that has many equal
+// times.
+void BM_EventQueueDefer(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  constexpr int kRounds = 8;
+  std::vector<sim::EventId> ids(static_cast<std::size_t>(n));
+  for (auto _ : state) {
+    sim::EventQueue q;
+    for (int i = 0; i < n; ++i) {
+      ids[static_cast<std::size_t>(i)] =
+          q.push(static_cast<double>((i * 7919) % 64), [] {});
+    }
+    for (int r = 1; r <= kRounds; ++r) {
+      const double shift = r % 2 == 0 ? 0.0 : 64.0;
+      for (int i = 0; i < n; ++i) {
+        q.defer(ids[static_cast<std::size_t>(i)],
+                shift + static_cast<double>(((i + r) * 7919) % 64));
+      }
+    }
+    while (auto e = q.pop()) benchmark::DoNotOptimize(e->time);
+  }
+  state.SetItemsProcessed(state.iterations() * n * (kRounds + 1));
+}
+BENCHMARK(BM_EventQueueDefer)->Arg(1000);
+
 void BM_Waterfill(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   std::vector<double> demands(n);
@@ -52,6 +80,30 @@ void BM_Waterfill(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_Waterfill)->Arg(8)->Arg(64)->Arg(512);
+
+// The sorted (contended) path on the tie-heavy inputs the engine sees: few
+// distinct demand levels, capacity at half the total demand, and the memo
+// cleared so every iteration sorts.
+void BM_WaterfillTies(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  constexpr double kLevels[] = {2.0, 5.0, 9.0};
+  std::vector<double> demands(static_cast<std::size_t>(n));
+  double total = 0;
+  for (int i = 0; i < n; ++i) {
+    demands[static_cast<std::size_t>(i)] = kLevels[(i * 7) % 3];
+    total += demands[static_cast<std::size_t>(i)];
+  }
+  std::vector<double> out(demands.size());
+  cluster::WaterfillScratch scratch;
+  for (auto _ : state) {
+    scratch.valid = false;
+    cluster::waterfill_into(0.5 * total, demands, out, scratch);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_WaterfillTies)->Arg(64);
 
 void BM_MachineRecompute(benchmark::State& state) {
   const int workloads = static_cast<int>(state.range(0));

@@ -6,8 +6,9 @@
 // run. This layer compiles hard checkpoints into the substrate when the
 // HYBRIDMR_AUDIT CMake option is ON (which defines HYBRIDMR_AUDIT_ENABLED):
 //
-//   - event queue:    time never moves backwards; no orphaned handlers
-//                     (a handler with no heap entry can never fire);
+//   - event queue:    time never moves backwards; the heap index is
+//                     consistent (every live slot's heap position points
+//                     back at it, so no handler is orphaned);
 //   - simulation:     at() with a past target time is a hard violation
 //                     instead of a counted clamp;
 //   - cluster:        per-resource allocations never exceed machine

@@ -184,15 +184,17 @@ class TaskAttempt {
   double completed_weight_ = 0;
 
   cluster::WorkloadPtr workload_;  // compute / local-write phases
+  // Every member has a default initializer, so the partial aggregate
+  // initializations at the flows_ push sites name only what they set.
   struct ActiveFlow {
-    storage::FlowHandle handle;
-    sim::MegaBytes amount_mb;
+    storage::FlowHandle handle{};
+    sim::MegaBytes amount_mb{};
     // Remote site the flow pulls from (shuffle fetches); null for HDFS
     // reads/writes whose endpoints the storage layer picked.
     cluster::ExecutionSite* src = nullptr;
     // Member sources of a batched shuffle flow (the crash path requeues
     // this attempt when any of them dies mid-fetch).
-    std::vector<cluster::ExecutionSite*> batch_srcs;
+    std::vector<cluster::ExecutionSite*> batch_srcs{};
   };
   std::vector<ActiveFlow> flows_;  // in-flight HDFS flows of this phase
   // Shuffle fetch plan: per-source byte shares, launched in one wave

@@ -90,10 +90,10 @@ class Simulation {
   bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Moves a pending event to absolute time `t` without cancelling it
-  /// (see EventQueue::defer — O(1) when postponing, one heap push when
-  /// advancing). Returns false when the event already fired or was
-  /// cancelled; callers then schedule a fresh one with at(). Past times
-  /// clamp to now() under the same audit/log policy as at().
+  /// (see EventQueue::defer — the heap item is re-keyed at its position).
+  /// Returns false when the event already fired or was cancelled; callers
+  /// then schedule a fresh one with at(). Past times clamp to now() under
+  /// the same audit/log policy as at().
   bool defer(EventId id, SimTime t) {
     if (t < now_) {
       HYBRIDMR_AUDIT_CHECK(false, "sim.simulation", "no_past_scheduling",

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "audit/invariants.h"
 #include "telemetry/telemetry.h"
@@ -213,7 +214,11 @@ int Hdfs::min_replication() const {
 
 Hdfs::FileId Hdfs::stage_file(const std::string& name, sim::MegaBytes size_mb,
                               sim::MegaBytes block_mb) {
-  assert(!datanodes_.empty() && "stage_file needs at least one datanode");
+  if (datanodes_.empty()) {
+    throw std::invalid_argument("Hdfs::stage_file: '" + name +
+                                "' needs at least one DataNode; none are "
+                                "registered");
+  }
   File file;
   file.name = name;
   file.size_mb = size_mb;

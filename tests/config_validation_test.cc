@@ -1,7 +1,7 @@
 // Bad configurations fail fast at the library boundary: TestBed's cluster
-// builders and MapReduceEngine::submit throw std::invalid_argument with a
-// message naming the offending field, instead of a SIGFPE, an abort or a
-// run that never ends deep inside the stack.
+// builders, MapReduceEngine::submit and Hdfs::stage_file throw
+// std::invalid_argument with a message naming the offending field, instead
+// of a SIGFPE, an abort or a run that never ends deep inside the stack.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -80,6 +80,11 @@ const BadConfig kBadConfigs[] = {
     {"map_selectivity_inf",
      submit(sort_with([](auto& s) { s.map_selectivity = kInf; })),
      "map_selectivity"},
+    {"stage_file_without_datanodes",
+     [](TestBed& bed) {
+       bed.hdfs().stage_file("input", sim::MegaBytes{256});
+     },
+     "DataNode"},
 };
 
 class BadConfigTest : public ::testing::TestWithParam<BadConfig> {};

@@ -1,9 +1,14 @@
 // Tests for deferred/coalesced reallocation (realloc.h): burst coalescing,
 // read-barrier freshness, eager/deferred determinism equivalence, the
-// reschedule-churn fix, the span-based waterfill, and the bounded
+// reschedule-churn fix, the span-based waterfill (and its bit-for-bit
+// agreement with the indirect-index kernel it replaced), and the bounded
 // TimeSeries machinery that keeps long runs O(max) memory.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -11,6 +16,7 @@
 #include "cluster/cluster.h"
 #include "cluster/machine.h"
 #include "harness/testbed.h"
+#include "sim/rng.h"
 #include "sim/simulation.h"
 #include "stats/timeseries.h"
 #include "telemetry/telemetry.h"
@@ -182,6 +188,88 @@ TEST(WaterfillSpan, MatchesAllocatingVersion) {
       }
     }
   }
+}
+
+// --- pair-sort waterfill vs the indirect-index kernel it replaced ---
+
+// The former waterfill_into() kernel, kept here as the oracle: it sorts
+// indices compared through demands[] and sweeps them with one loop.
+std::vector<double> indirect_index_waterfill(double capacity,
+                                             const std::vector<double>& d) {
+  const std::size_t n = d.size();
+  std::vector<double> out(n, 0.0);
+  if (n == 0 || capacity <= 0) return out;
+  double total = 0;
+  for (const double x : d) total += x > 0 ? x : 0.0;
+  if (total <= capacity) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = d[i] > 0 ? d[i] : 0.0;
+    return out;
+  }
+  std::vector<std::uint32_t> order(n);
+  std::iota(order.begin(), order.end(), std::uint32_t{0});
+  std::sort(order.begin(), order.end(),
+            [&](std::uint32_t a, std::uint32_t b) { return d[a] < d[b]; });
+  double remaining = capacity;
+  std::size_t unsatisfied = n;
+  for (const std::uint32_t idx : order) {
+    const double fair = remaining / static_cast<double>(unsatisfied);
+    const double got = std::min(d[idx], fair);
+    out[idx] = got < 0 ? 0 : got;
+    remaining -= out[idx];
+    --unsatisfied;
+  }
+  return out;
+}
+
+// Many equal demands make the sweep hand equal demands shares that differ
+// in the last bits, so which index gets which share is fixed by the sort's
+// tie order; the pair sort must reproduce it exactly, bit for bit.
+TEST(WaterfillDifferential, PairSortMatchesIndirectIndexSortBitForBit) {
+  sim::Rng rng(20130708);
+  WaterfillScratch shared;  // exercises the memo across trials
+  bool tie_split = false;   // some equal demands got unequal shares
+  for (int trial = 0; trial < 3000; ++trial) {
+    const int n = rng.uniform_int(1, 300);
+    std::vector<double> levels(static_cast<std::size_t>(rng.uniform_int(1, 8)));
+    for (double& level : levels) {
+      const int kind = rng.uniform_int(0, 9);
+      level = kind == 0 ? 0.0 : kind == 1 ? -rng.uniform(0.0, 5.0)
+                                          : rng.uniform(0.0, 40.0);
+    }
+    std::vector<double> demands(static_cast<std::size_t>(n));
+    double positive = 0;
+    for (double& d : demands) {
+      d = levels[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(levels.size()) - 1))];
+      positive += d > 0 ? d : 0.0;
+    }
+    // Mostly contended (capacity below total demand); sometimes not.
+    const double capacity = trial % 10 == 0
+                                ? positive * rng.uniform(1.0, 1.5)
+                                : positive * rng.uniform(0.01, 0.99);
+    const std::vector<double> expect =
+        indirect_index_waterfill(capacity, demands);
+    std::vector<double> got(demands.size(), -1.0);
+    for (std::size_t i = 0; i + 1 < demands.size() && !tie_split; ++i) {
+      for (std::size_t j = i + 1; j < demands.size(); ++j) {
+        if (std::memcmp(&demands[i], &demands[j], sizeof(double)) == 0 &&
+            std::memcmp(&expect[i], &expect[j], sizeof(double)) != 0) {
+          tie_split = true;
+          break;
+        }
+      }
+    }
+    WaterfillScratch fresh;
+    for (WaterfillScratch* scratch : {&fresh, &shared, &shared}) {
+      waterfill_into(capacity, demands, got, *scratch);
+      ASSERT_EQ(std::memcmp(got.data(), expect.data(),
+                            got.size() * sizeof(double)),
+                0)
+          << "trial " << trial << " n " << n << " levels " << levels.size();
+    }
+  }
+  // Otherwise the inputs never reached the tie order this test pins down.
+  EXPECT_TRUE(tie_split);
 }
 
 // --- bounded time series ---
