@@ -65,39 +65,34 @@ int main() {
   harness::banner(
       "Figure 9(a): response time (ms) of RUBiS and TPC-W over 35 minutes "
       "(SLA = 2000 ms; MapReduce jobs arrive at minute 10)");
-  if (const telemetry::Hub* tel = bed.telemetry()) {
-    const auto* rubis_ts = tel->registry.find("app.rubis.response_s");
-    const auto* tpcw_ts = tel->registry.find("app.tpcw.response_s");
-    Table table({"minute", "RUBiS (ms)", "TPC-W (ms)", "IPS actions",
-                 "migrations"});
-    for (int minute = 1; minute <= 35; ++minute) {
-      // Cumulative IPS activity up to this minute, straight off the trace.
-      int actions = 0;
-      int migrations = 0;
-      for (const auto& e : tel->trace.events()) {
-        if (e.kind != telemetry::EventKind::kIpsAction ||
-            e.time_s > 60.0 * minute) {
-          continue;
-        }
-        if (e.name == "migrate_vm") {
-          ++migrations;
-        } else if (e.name != "restore") {
-          ++actions;
-        }
+  // The default TestBed wires a telemetry hub, so the trace and the
+  // response-time series are always there.
+  const telemetry::Hub* tel = bed.telemetry();
+  const auto* rubis_ts = tel->registry.find("app.rubis.response_s");
+  const auto* tpcw_ts = tel->registry.find("app.tpcw.response_s");
+  Table table({"minute", "RUBiS (ms)", "TPC-W (ms)", "IPS actions",
+               "migrations"});
+  for (int minute = 1; minute <= 35; ++minute) {
+    // Cumulative IPS activity up to this minute, straight off the trace.
+    int actions = 0;
+    int migrations = 0;
+    for (const auto& e : tel->trace.events()) {
+      if (e.kind != telemetry::EventKind::kIpsAction ||
+          e.time_s > 60.0 * minute) {
+        continue;
       }
-      table.row({std::to_string(minute),
-                 Table::num(1000 * minute_mean(*rubis_ts->series, minute), 0),
-                 Table::num(1000 * minute_mean(*tpcw_ts->series, minute), 0),
-                 std::to_string(actions), std::to_string(migrations)});
+      if (e.name == "migrate_vm") {
+        ++migrations;
+      } else if (e.name != "restore") {
+        ++actions;
+      }
     }
-    table.print();
-  } else {
-    std::printf("  (timeline needs HYBRIDMR_TELEMETRY=ON; totals: %d IPS "
-                "actions, %d migrations)\n",
-                hybrid.ips().stats().throttles + hybrid.ips().stats().pauses +
-                    hybrid.ips().stats().requeues,
-                hybrid.ips().stats().vm_migrations);
+    table.row({std::to_string(minute),
+               Table::num(1000 * minute_mean(*rubis_ts->series, minute), 0),
+               Table::num(1000 * minute_mean(*tpcw_ts->series, minute), 0),
+               std::to_string(actions), std::to_string(migrations)});
   }
+  table.print();
 
   std::printf(
       "\n  SLA violation fraction over the run: RUBiS %.1f%%, TPC-W %.1f%%\n",

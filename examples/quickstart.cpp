@@ -2,8 +2,7 @@
 // batch of MapReduce jobs and watch Phase I steer them between the native
 // and virtual partitions.
 //
-// When the build has telemetry compiled in (the default), the run also
-// dumps quickstart_trace.json (load it in chrome://tracing or Perfetto),
+// The run also dumps quickstart_trace.json (load it in chrome://tracing or Perfetto),
 // quickstart_report.json and quickstart_report.csv into the working
 // directory.
 //

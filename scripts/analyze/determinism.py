@@ -10,10 +10,27 @@ group over src/, tests/, bench/ and examples/):
                          sum or an appended list is already order-tainted
   simtime-eq             exact ==/!= between SimTime doubles
   eager-recompute        Machine::recompute() outside the drain path
+  mutation-outside-drain direct calls to the allocation-engine mutators
+                         (Workload::settle/apply_allocation/finish,
+                         ReallocCoordinator::mark_dirty/...) outside the
+                         Machine/ReallocCoordinator drain path: a write
+                         that bypasses the dirty set escapes the coalescing
+                         drain, so eager and deferred runs diverge
+  rng-discipline         a std::<engine> or std::*_distribution constructed
+                         anywhere but src/sim/rng.h: every draw must come
+                         from a named, seed-derived sim::Rng stream so a
+                         seed reproduces the run
+  shared-mutable-state   mutable static-storage data in src/ (namespace,
+                         function or class `static`, namespace-scope
+                         `inline` and `thread_local` variables): state that
+                         outlives one Simulation leaks between same-process
+                         runs. Intentional process-wide sites carry an
+                         `// hmr-shared(<note>)` marker.
 
 These apply to every analyzed file (src, tests, bench, examples), unlike
 the src/-only dimension/layering/capture passes: a nondeterministic test
-is as flaky as a nondeterministic scheduler.
+is as flaky as a nondeterministic scheduler. shared-mutable-state is the
+exception: it checks src/ only.
 """
 
 from __future__ import annotations
@@ -57,6 +74,43 @@ WALL_CLOCK_SANCTIONED = (
     "src/telemetry/profiler.h",
     "src/telemetry/profiler.cc",
 )
+# The drain path: Machine::recompute/ensure_clean and the coordinator own
+# every direct write to allocation state; Workload implements the mutators.
+MUTATION_SANCTIONED = EAGER_RECOMPUTE_SANCTIONED + (
+    "src/cluster/workload.h",
+    "src/cluster/workload.cc",
+)
+MUTATION_RE = re.compile(
+    r"(?:\.|->)\s*(settle|apply_allocation|finish|mark_dirty"
+    r"|mark_sample_pending)\s*\(")
+RNG_SANCTIONED = ("src/sim/rng.h",)
+RNG_PATTERNS = [
+    (re.compile(
+        r"\bstd::(mt19937(?:_64)?|minstd_rand0?|default_random_engine"
+        r"|ranlux(?:24|48)(?:_base)?|knuth_b|mersenne_twister_engine"
+        r"|linear_congruential_engine|subtract_with_carry_engine"
+        r"|discard_block_engine|independent_bits_engine"
+        r"|shuffle_order_engine)\b"),
+     "raw random engine"),
+    (re.compile(r"\bstd::\w+_distribution\b"), "raw distribution"),
+]
+# `static <type> <name> (= | ; | {` with const/constexpr excluded. The type
+# part cannot cross '(' so function declarations/definitions never match;
+# multi-line declarations are out of (token-level) reach and accepted as a
+# documented limitation.
+STATIC_DECL_RE = re.compile(
+    r"^\s*(?:inline\s+)?static\s+(?:thread_local\s+)?"
+    r"(?!const\b|constexpr\b)"
+    r"([\w:<>,*&\s]+?)\s+([A-Za-z_]\w*)\s*(?:=|;|\{)")
+# Namespace-scope `inline` variables (C++17): mutable globals in headers.
+INLINE_VAR_RE = re.compile(
+    r"^\s*inline\s+(?!const\b|constexpr\b|namespace\b|static\b)"
+    r"([\w:<>,*&\s]+?)\s+([A-Za-z_]\w*)\s*(?:=|;|\{)")
+THREAD_LOCAL_DECL_RE = re.compile(
+    r"^\s*(?:static\s+)?thread_local\s+(?:static\s+)?"
+    r"(?!const\b|constexpr\b)"
+    r"([\w:<>,*&\s]+?)\s+([A-Za-z_]\w*)\s*(?:=|;|\{)")
+SHARED_MARKER_RE = re.compile(r"//\s*hmr-shared\(([^)]*)\)")
 ACCUMULATE_RE = re.compile(
     r"(?:\+=|-=|\*=|/=|\.\s*push_back\s*\(|\.\s*emplace_back\s*\()")
 
@@ -84,6 +138,9 @@ def template_tail_ident(text: str, start: int) -> str | None:
 def scan(source: SourceFile) -> list[Finding]:
     findings: list[Finding] = []
     recompute_sanctioned = source.rel in EAGER_RECOMPUTE_SANCTIONED
+    mutation_sanctioned = source.rel in MUTATION_SANCTIONED
+    rng_sanctioned = source.rel in RNG_SANCTIONED
+    shared_checked = source.rel.startswith("src/")
     wall_clock_sanctioned = source.rel in WALL_CLOCK_SANCTIONED
 
     unordered_names: set[str] = set()
@@ -156,7 +213,64 @@ def scan(source: SourceFile) -> list[Finding]:
                     message=("exact ==/!= on SimTime doubles; use ordered "
                              "comparisons or sim::same_time()")))
 
+        if not mutation_sanctioned and "mutation-outside-drain" not in allow:
+            for m in MUTATION_RE.finditer(code):
+                findings.append(Finding(
+                    rule="mutation-outside-drain", file=source.rel,
+                    line=lineno, identifier=m.group(1),
+                    message=(
+                        f"direct {m.group(1)}() writes allocation state "
+                        "outside the ReallocCoordinator drain path; mutate "
+                        "via invalidate()/ensure_clean() so the dirty set "
+                        "sees it")))
+
+        if not rng_sanctioned and "rng-discipline" not in allow:
+            for pattern, what in RNG_PATTERNS:
+                m = pattern.search(code)
+                if m:
+                    findings.append(Finding(
+                        rule="rng-discipline", file=source.rel, line=lineno,
+                        identifier=m.group(0).removeprefix("std::"),
+                        message=(
+                            f"{what} outside src/sim/rng.h; draw through a "
+                            "named sim::Rng stream so the seed reproduces "
+                            "the run")))
+
+        if shared_checked and not code.lstrip().startswith("#"):
+            findings.extend(_shared_state(source, idx))
+
     return findings
+
+
+def _marked_shared(source: SourceFile, idx: int) -> bool:
+    """True when the 0-based line or the //-comment block directly above
+    it carries an `// hmr-shared(<note>)` marker."""
+    if SHARED_MARKER_RE.search(source.raw[idx]):
+        return True
+    probe = idx - 1
+    while probe >= 0 and source.raw[probe].lstrip().startswith("//"):
+        if SHARED_MARKER_RE.search(source.raw[probe]):
+            return True
+        probe -= 1
+    return False
+
+
+def _shared_state(source: SourceFile, idx: int) -> list[Finding]:
+    """Flags a mutable static-storage declaration on the 0-based line."""
+    code = source.code[idx]
+    decl = (STATIC_DECL_RE.search(code) or INLINE_VAR_RE.search(code)
+            or THREAD_LOCAL_DECL_RE.search(code))
+    if (decl is None or "shared-mutable-state" in source.allowed(idx + 1)
+            or _marked_shared(source, idx)):
+        return []
+    name = decl.group(2)
+    return [Finding(
+        rule="shared-mutable-state", file=source.rel, line=idx + 1,
+        identifier=name,
+        message=(
+            f"mutable static-storage data '{name}' outlives one Simulation "
+            "and leaks between same-process runs; make it per-simulation "
+            "or mark it intentional (// hmr-shared(<note>))"))]
 
 
 def _accumulation_in_loop(source: SourceFile, for_idx: int,
@@ -239,4 +353,13 @@ RULES = {
     "eager-recompute": (
         "Machine::recompute() called outside the ReallocCoordinator drain "
         "path"),
+    "mutation-outside-drain": (
+        "allocation-engine mutator called outside the "
+        "Machine/ReallocCoordinator drain path"),
+    "rng-discipline": (
+        "std random engine/distribution constructed outside src/sim/rng.h "
+        "(draws no longer derive from the run's seed)"),
+    "shared-mutable-state": (
+        "mutable static-storage data in src/ without an "
+        "// hmr-shared(<note>) marker"),
 }

@@ -8,26 +8,15 @@
 #   release      Release build + full ctest suite (also produces the
 #                compile database the next two stages resolve against)
 #   analyze      scripts/analyze/hybridmr-analyze full rule suite over src/
-#                (dimensions, layering, capture-lifetime, determinism,
-#                concurrency) gated by the committed baseline — blocking,
-#                never skipped; exit 1 (findings) and exit 2 (broken
-#                analyzer) are reported distinctly
-#   concurrency  hybridmr-analyze --group=concurrency over src/, emitting
-#                the layer-keyed shared-state census (shared_state.json in
-#                the build root) — blocking, zero unbaselined findings
+#                (dimensions, layering, capture-lifetime, determinism)
+#                gated by the committed baseline — blocking, never skipped;
+#                exit 1 (findings) and exit 2 (broken analyzer) are
+#                reported distinctly
 #   clang-tidy   bugprone/performance/modernize/cppcoreguidelines profile
 #                against the Release compile database (skipped with a
 #                notice when clang-tidy is not installed)
-#   thread-safety clang build of the core library with -Werror=thread-safety
-#                over the HMR_* capability annotations
-#                (src/sim/thread_annotations.h); skipped with a notice when
-#                clang++ is not installed
 #   sanitize     ASan/UBSan build + ctest, LeakSanitizer ENABLED — the
 #                teardown paths are leak-clean and must stay that way
-#   tsan         ThreadSanitizer build of the concurrency harness
-#                (tests/concurrency_test must run clean) plus the racy
-#                negative control (tests/tsan_race_probe must be CAUGHT —
-#                the stage fails if TSan misses the planted race)
 #   audit        -DHYBRIDMR_AUDIT=ON build + ctest: every runtime invariant
 #                checkpoint compiled in and exercised by the suite
 #   chaos        bench_faults seeded chaos scenario in the sanitize and
@@ -145,28 +134,6 @@ run_analyze_stage analyze \
     --compile-commands "$root/release/compile_commands.json" \
     --sarif "$root/analyze.sarif" "$repo/src" || true
 
-# --- concurrency: readiness census for the parallel sim core (blocking) ------
-# Emits the layer-keyed shared-state report alongside the gate; the report
-# is the design input for the event-loop sharding work (docs/CONCURRENCY.md)
-# and must list every annotated shared site.
-echo "=== [concurrency] hybridmr-analyze --group=concurrency ==="
-python3 "$repo/scripts/analyze/hybridmr-analyze" --group=concurrency \
-    --shared-state-report "$root/shared_state.json" "$repo/src"
-case $? in
-  0)
-    # A census that lists no annotated sites means the report side of the
-    # pass is broken — the intentionally-shared core state is annotated.
-    if grep -q '"annotated": true' "$root/shared_state.json" 2>/dev/null; then
-      note_stage concurrency PASS
-    else
-      echo "concurrency: shared-state report lists no annotated sites"
-      note_stage concurrency "FAIL (empty census)"
-    fi
-    ;;
-  1) note_stage concurrency "FAIL (findings)" ;;
-  *) note_stage concurrency "FAIL (analyzer infrastructure error)" ;;
-esac
-
 # --- clang-tidy (needs the compile database from the release tree) ----------
 if command -v clang-tidy > /dev/null 2>&1; then
   echo "=== [clang-tidy] src/ against compile database ==="
@@ -181,54 +148,12 @@ else
   note_stage clang-tidy "SKIP (clang-tidy not installed)"
 fi
 
-# --- thread-safety: clang -Werror=thread-safety over the annotations ---------
-# Only clang implements the capability analysis behind the HMR_* macros
-# (src/sim/thread_annotations.h); under gcc they compile out. Building the
-# core library is enough — every annotated class lives in src/.
-if command -v clang++ > /dev/null 2>&1; then
-  echo "=== [thread-safety] clang++ -Werror=thread-safety build ==="
-  if cmake -S "$repo" -B "$root/thread-safety" -DCMAKE_BUILD_TYPE=Release \
-        -DCMAKE_CXX_COMPILER=clang++ -DHYBRIDMR_THREAD_SAFETY=ON &&
-      cmake --build "$root/thread-safety" -j "$jobs" --target hybridmr; then
-    note_stage thread-safety PASS
-  else
-    note_stage thread-safety FAIL
-  fi
-else
-  note_stage thread-safety "SKIP (clang++ not installed)"
-fi
-
 # --- sanitizers, leak checking ENABLED --------------------------------------
 # No ASAN_OPTIONS=detect_leaks=0 and no suppression file: teardown is
 # leak-clean by construction (weak_ptr flow/ticker captures plus
 # Simulation::shutdown()) and any regression must fail CI.
 unset ASAN_OPTIONS LSAN_OPTIONS
 build_and_test sanitize -DHYBRIDMR_SANITIZE=address,undefined || true
-
-# --- tsan: concurrency harness + planted-race negative control ---------------
-# TSan cannot share a tree with ASan/LSan, so this is its own build; only
-# the two concurrency targets are built to keep the stage cheap. The probe
-# MUST fail under TSan — a probe that exits 0 means the sanitizer is not
-# instrumenting the build and the harness's clean run proves nothing.
-echo "=== [tsan] ThreadSanitizer harness + race probe ==="
-tsan_result=FAIL
-if cmake -S "$repo" -B "$root/tsan" -DCMAKE_BUILD_TYPE=Release \
-      -DHYBRIDMR_SANITIZE=thread &&
-    cmake --build "$root/tsan" -j "$jobs" \
-      --target concurrency_test tsan_race_probe; then
-  if "$root/tsan/tests/concurrency_test"; then
-    if "$root/tsan/tests/tsan_race_probe" > /dev/null 2>&1; then
-      echo "tsan: race probe exited 0 — TSan missed the planted race" \
-           "(uninstrumented build?)"
-      tsan_result="FAIL (vacuous: planted race not caught)"
-    else
-      tsan_result=PASS
-    fi
-  else
-    echo "tsan: concurrency_test reported races or failed"
-  fi
-fi
-note_stage tsan "$tsan_result"
 
 # --- runtime invariant audit -------------------------------------------------
 build_and_test audit -DHYBRIDMR_AUDIT=ON || true

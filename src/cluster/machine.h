@@ -359,9 +359,6 @@ class Machine : public ExecutionSite {
 
   // Deferred-reallocation state.
   ReallocCoordinator* coordinator_ = nullptr;
-  // hmr-shared(quiesced-read): ensure_clean() reads this flag from any
-  // thread once the sim is quiesced (drained => false => no recompute);
-  // while events dispatch it is sim-thread-only like everything else here.
   bool dirty_ = false;
   bool eager_reschedule_ = false;
   std::uint64_t recompute_count_ = 0;

@@ -45,9 +45,10 @@ struct FaultSchedule {
   double crash_rate = 0;
   /// Reboot delay applied to rate-generated crashes.
   sim::Duration crash_recover_after{60.0};
-  /// Rate streams stop scheduling past this simulated time. <= 0 means no
-  /// horizon — beware that an ever-rearming stream keeps the event queue
-  /// non-empty, so run_jobs()-style "drain the queue" loops never exit.
+  /// Rate streams stop scheduling past this simulated time. A positive
+  /// rate needs a finite horizon > 0 (TestBed rejects anything else): an
+  /// ever-rearming stream would keep the event queue non-empty, so
+  /// run_jobs()-style "drain the queue" loops would never exit.
   double rate_horizon_s = 0;
 
   /// Seed for the injector's private RNG (victim picks, inter-arrivals).

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "interactive/sla.h"
 #include "mapred/scheduler.h"
@@ -25,9 +27,70 @@ void require_count(const char* builder, const char* field, int value,
                               std::to_string(value));
 }
 
+[[noreturn]] void reject(const std::string& field, const std::string& rule,
+                         double value) {
+  throw std::invalid_argument("TestBed: " + field + " must be " + rule +
+                              ", got " + std::to_string(value));
+}
+
+void require_positive(const char* field, double value) {
+  if (!std::isfinite(value) || value <= 0) {
+    reject(std::string("calibration.") + field, "finite and > 0", value);
+  }
+}
+
+void require_at_least_one(const char* field, int value) {
+  if (value < 1) reject(std::string("calibration.") + field, ">= 1", value);
+}
+
+// Library-boundary check on the options: a bad calibration would otherwise
+// divide by zero deep in the allocation engine, and a rate-driven fault
+// stream with no horizon keeps the event queue from ever draining.
+void validate(const TestBed::Options& o) {
+  const cluster::Calibration& c = o.calibration;
+  require_positive("pm_cores", c.pm_cores);
+  require_positive("pm_memory_mb", c.pm_memory_mb.value());
+  require_positive("pm_disk_mbps", c.pm_disk_mbps.value());
+  require_positive("pm_net_mbps", c.pm_net_mbps.value());
+  require_positive("vm_vcpus", c.vm_vcpus);
+  require_positive("vm_memory_mb", c.vm_memory_mb.value());
+  require_positive("hdfs_block_mb", c.hdfs_block_mb.value());
+  require_positive("heartbeat_s", c.heartbeat_s);
+  require_positive("control_epoch_s", c.control_epoch_s);
+  require_at_least_one("map_slots_per_node", c.map_slots_per_node);
+  require_at_least_one("reduce_slots_per_node", c.reduce_slots_per_node);
+  require_at_least_one("hdfs_replicas", c.hdfs_replicas);
+  if (!(c.pm_peak_watts >= c.pm_idle_watts)) {
+    reject("calibration.pm_peak_watts", ">= pm_idle_watts",
+           c.pm_peak_watts.value());
+  }
+
+  const faults::FaultSchedule& f = o.faults;
+  for (const auto& [field, rate] :
+       {std::pair{"faults.task_failure_rate", f.task_failure_rate},
+        std::pair{"faults.crash_rate", f.crash_rate}}) {
+    if (!std::isfinite(rate) || rate < 0) {
+      reject(field, "finite and >= 0", rate);
+    }
+    const bool bounded =
+        std::isfinite(f.rate_horizon_s) && f.rate_horizon_s > 0;
+    if (rate > 0 && !bounded) {
+      reject("faults.rate_horizon_s",
+             std::string("finite and > 0 when ") + field + " > 0",
+             f.rate_horizon_s);
+    }
+  }
+  for (const faults::FaultSpec& spec : f.one_shot) {
+    if (!std::isfinite(spec.at) || spec.at < 0) {
+      reject("faults.one_shot.at", "finite and >= 0", spec.at);
+    }
+  }
+}
+
 }  // namespace
 
 TestBed::TestBed(Options options) : options_(std::move(options)) {
+  validate(options_);
   // Opt-in verbosity without recompiling: HYBRIDMR_LOG=debug|info|warn|...
   if (const char* env = std::getenv("HYBRIDMR_LOG")) {
     if (auto level = sim::Log::parse_level(env)) {
@@ -42,7 +105,7 @@ TestBed::TestBed(Options options) : options_(std::move(options)) {
     if (v == "0" || v == "off") options_.profile = false;
   }
   sim_ = std::make_unique<sim::Simulation>(options_.seed);
-  if ((options_.telemetry || options_.profile) && telemetry::compiled_in()) {
+  if (options_.telemetry || options_.profile) {
     tel_ = std::make_unique<telemetry::Hub>();
   }
   if (tel_ && options_.profile) {

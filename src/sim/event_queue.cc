@@ -124,12 +124,10 @@ std::uint64_t EventQueue::insert(SimTime time, std::uint64_t seq,
 }
 
 EventId EventQueue::push(SimTime time, std::function<void()> fn) {
-  gate_.assert_held();
   return EventId{insert(time, next_seq_++, std::move(fn))};
 }
 
 bool EventQueue::cancel(EventId id) {
-  gate_.assert_held();
   const std::uint32_t index = live_index(id.value);
   if (index == kNoPos) return false;
   remove_at(slots_[index].pos);
@@ -139,7 +137,6 @@ bool EventQueue::cancel(EventId id) {
 }
 
 bool EventQueue::defer(EventId id, SimTime time) {
-  gate_.assert_held();
   const std::uint32_t index = live_index(id.value);
   if (index == kNoPos) return false;
   // The item keeps its ORIGINAL push seq: rescheduling never consumes a
@@ -161,7 +158,6 @@ bool EventQueue::defer(EventId id, SimTime time) {
 }
 
 EventId EventQueue::repush(EventId id, SimTime time) {
-  gate_.assert_held();
   const std::uint32_t index = live_index(id.value);
   if (index == kNoPos) return {};
   const std::uint64_t seq = heap_[slots_[index].pos].seq;
@@ -175,7 +171,6 @@ EventId EventQueue::repush(EventId id, SimTime time) {
 }
 
 bool EventQueue::index_consistent() const {
-  gate_.assert_held();
   std::size_t live = 0;
   for (std::uint32_t i = 0; i < slots_.size(); ++i) {
     const std::uint32_t pos = slots_[i].pos;
@@ -187,13 +182,11 @@ bool EventQueue::index_consistent() const {
 }
 
 std::optional<SimTime> EventQueue::next_time() const {
-  gate_.assert_held();
   if (heap_.empty()) return std::nullopt;
   return heap_.front().time;
 }
 
 std::optional<EventQueue::Entry> EventQueue::pop() {
-  gate_.assert_held();
   // An inconsistent index would pop the wrong handler or orphan a live one
   // (which could then never fire and would leak its captures).
   HYBRIDMR_AUDIT_CHECK(
@@ -210,7 +203,6 @@ std::optional<EventQueue::Entry> EventQueue::pop() {
 }
 
 std::size_t EventQueue::clear() {
-  gate_.assert_held();
   const std::size_t dropped = heap_.size();
   for (std::uint32_t i = 0; i < slots_.size(); ++i) {
     // Releasing (rather than dropping) every slot keeps generations

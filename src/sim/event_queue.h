@@ -21,8 +21,6 @@
 #include <optional>
 #include <vector>
 
-#include "sim/thread_annotations.h"
-
 namespace hybridmr::sim {
 
 /// Simulated time, in seconds since the start of the simulation.
@@ -92,16 +90,10 @@ class EventQueue {
   EventId repush(EventId id, SimTime time);
 
   /// True when no live (non-cancelled) events remain.
-  [[nodiscard]] bool empty() const {
-    gate_.assert_held();
-    return heap_.empty();
-  }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
 
   /// Number of live events.
-  [[nodiscard]] std::size_t size() const {
-    gate_.assert_held();
-    return heap_.size();
-  }
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
   /// Time of the earliest live event. Empty queue -> nullopt.
   [[nodiscard]] std::optional<SimTime> next_time() const;
@@ -119,28 +111,18 @@ class EventQueue {
   ///   total_pushed() == pops + total_cancelled() + size()
   /// holds at every quiescent point (the simulation audits this after each
   /// dispatch). clear() counts as cancellation.
-  [[nodiscard]] std::uint64_t total_pushed() const {
-    gate_.assert_held();
-    return total_pushed_;
-  }
+  [[nodiscard]] std::uint64_t total_pushed() const { return total_pushed_; }
   [[nodiscard]] std::uint64_t total_cancelled() const {
-    gate_.assert_held();
     return total_cancelled_;
   }
 
   /// Lifetime count of successful defer() calls (not part of the
   /// conservation identity above; a deferred event still fires or is
   /// cancelled exactly once).
-  [[nodiscard]] std::uint64_t total_deferred() const {
-    gate_.assert_held();
-    return total_deferred_;
-  }
+  [[nodiscard]] std::uint64_t total_deferred() const { return total_deferred_; }
 
   /// High-water mark of live events (queue-depth peak over the run).
-  [[nodiscard]] std::size_t max_size() const {
-    gate_.assert_held();
-    return max_size_;
-  }
+  [[nodiscard]] std::size_t max_size() const { return max_size_; }
 
   /// O(n) consistency check of the heap index: every heap item's slot is
   /// live and records that item's position, and the heap holds exactly the
@@ -194,45 +176,38 @@ class EventQueue {
 
   // The slot index a live id refers to, or kNoPos when the id is
   // stale/invalid.
-  [[nodiscard]] std::uint32_t live_index(std::uint64_t id) const
-      HMR_REQUIRES(gate_);
+  [[nodiscard]] std::uint32_t live_index(std::uint64_t id) const;
 
   // Takes a free slot (or grows the pool), installs `fn` and inserts its
   // heap item at (time, seq). Returns the new id.
   std::uint64_t insert(SimTime time, std::uint64_t seq,
-                       std::function<void()> fn) HMR_REQUIRES(gate_);
+                       std::function<void()> fn);
 
   // Destroys the handler, bumps the generation and recycles the slot.
-  void release(std::uint32_t index) HMR_REQUIRES(gate_);
+  void release(std::uint32_t index);
 
   // Heap surgery. place() writes an item and its slot at `pos` and records
   // the position in the slot; earliest_child() picks the earliest of the
   // children starting at `first` in a heap of `n` items; the sifts move
   // one item to its ordered position; remove_at() takes the item at `pos`
   // out of the heap (its slot is not released).
-  void place(std::size_t pos, const HeapItem& item, std::uint32_t slot)
-      HMR_REQUIRES(gate_);
+  void place(std::size_t pos, const HeapItem& item, std::uint32_t slot);
   [[nodiscard]] std::size_t earliest_child(std::size_t first,
-                                           std::size_t n) const
-      HMR_REQUIRES(gate_);
-  void sift_up(std::size_t pos) HMR_REQUIRES(gate_);
-  void sift_down(std::size_t pos) HMR_REQUIRES(gate_);
-  void remove_at(std::size_t pos) HMR_REQUIRES(gate_);
+                                           std::size_t n) const;
+  void sift_up(std::size_t pos);
+  void sift_down(std::size_t pos);
+  void remove_at(std::size_t pos);
 
-  // Sim-thread capability token: the queue is mutated only between event
-  // boundaries on the dispatch thread (see sim/thread_annotations.h).
-  SimThreadGate gate_;
-
-  std::vector<HeapItem> heap_ HMR_GUARDED_BY(gate_);
-  std::vector<std::uint32_t> heap_slot_ HMR_GUARDED_BY(gate_);
-  std::vector<Slot> slots_ HMR_GUARDED_BY(gate_);
-  std::vector<std::function<void()>> handlers_ HMR_GUARDED_BY(gate_);
-  std::vector<std::uint32_t> free_slots_ HMR_GUARDED_BY(gate_);
-  std::uint64_t next_seq_ HMR_GUARDED_BY(gate_) = 0;
-  std::uint64_t total_pushed_ HMR_GUARDED_BY(gate_) = 0;
-  std::uint64_t total_cancelled_ HMR_GUARDED_BY(gate_) = 0;
-  std::uint64_t total_deferred_ HMR_GUARDED_BY(gate_) = 0;
-  std::size_t max_size_ HMR_GUARDED_BY(gate_) = 0;
+  std::vector<HeapItem> heap_;
+  std::vector<std::uint32_t> heap_slot_;
+  std::vector<Slot> slots_;
+  std::vector<std::function<void()>> handlers_;
+  std::vector<std::uint32_t> free_slots_;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t total_pushed_ = 0;
+  std::uint64_t total_cancelled_ = 0;
+  std::uint64_t total_deferred_ = 0;
+  std::size_t max_size_ = 0;
 };
 
 }  // namespace hybridmr::sim

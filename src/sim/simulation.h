@@ -18,7 +18,6 @@
 #include "sim/log.h"
 #include "sim/probe.h"
 #include "sim/rng.h"
-#include "sim/thread_annotations.h"
 #include "sim/units.h"
 
 namespace hybridmr::sim {
@@ -201,10 +200,7 @@ class Simulation {
 
   /// Attaches (or detaches, with nullptr) the dispatch probe. The probe is
   /// invoked around every event handler; see sim/probe.h.
-  void set_probe(DispatchProbe* probe) {
-    gate_.assert_held();
-    probe_ = probe;
-  }
+  void set_probe(DispatchProbe* probe) { probe_ = probe; }
 
   /// How many at() calls asked for a past time and were clamped to now().
   /// Non-zero means a component computes target times incorrectly.
@@ -229,7 +225,6 @@ class Simulation {
   /// Runs every registered flush hook now. Idempotent between mutations;
   /// called automatically at event boundaries and run-loop exits.
   void flush() {
-    gate_.assert_held();
     for (const auto& hook : flush_hooks_) {
       if (hook) hook();
     }
@@ -253,12 +248,7 @@ class Simulation {
   [[nodiscard]] std::vector<std::string> named_rng_streams() const;
 
  private:
-  bool dispatch_one() HMR_REQUIRES(gate_);
-
-  // Sim-thread capability token for the dispatch loop's shared hooks (the
-  // queue and the clock carry their own discipline; the hook/probe lists
-  // are the state a sharded event loop would contend on first).
-  SimThreadGate gate_;
+  bool dispatch_one();
 
   EventQueue queue_;
   Rng rng_;
@@ -267,13 +257,13 @@ class Simulation {
   // reproducible order. Map nodes never move, so Rng& handles stay valid.
   std::map<std::string, Rng> named_rngs_;
   // Slots are never erased (tokens stay stable); removal nulls the entry.
-  std::vector<std::function<void()>> flush_hooks_ HMR_GUARDED_BY(gate_);
+  std::vector<std::function<void()>> flush_hooks_;
   SimTime now_ = 0;
   std::size_t processed_ = 0;
   std::uint64_t clamped_past_events_ = 0;
   std::uint64_t max_event_fanout_ = 0;
   std::uint64_t flush_scheduled_events_ = 0;
-  DispatchProbe* probe_ HMR_GUARDED_BY(gate_) = nullptr;
+  DispatchProbe* probe_ = nullptr;
   bool stop_requested_ = false;
   bool running_ = false;
 };

@@ -4,9 +4,6 @@
 // Design rules:
 //   - record paths are O(1) and allocation-free (histograms use fixed bucket
 //     arrays, time series only allocate when a new window opens);
-//   - everything compiles out when the HYBRIDMR_TELEMETRY CMake option is
-//     OFF (the registry still exists so consumers link, but record calls
-//     become empty inline functions);
 //   - iteration order is insertion order, so exports are deterministic.
 #pragma once
 
@@ -19,29 +16,14 @@
 #include <string>
 #include <vector>
 
-#include "sim/thread_annotations.h"
-
 namespace hybridmr::telemetry {
-
-#if defined(HYBRIDMR_TELEMETRY_DISABLED)
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
-
-/// True when telemetry recording is compiled into this build.
-constexpr bool compiled_in() { return kCompiledIn; }
 
 /// Monotonically increasing total (events seen, MB shuffled, ...).
 class Counter {
  public:
   void add(double delta = 1.0) {
-    if constexpr (kCompiledIn) {
-      value_ += delta;
-      ++events_;
-    } else {
-      (void)delta;
-    }
+    value_ += delta;
+    ++events_;
   }
 
   [[nodiscard]] double value() const { return value_; }
@@ -55,14 +37,8 @@ class Counter {
 /// Last-write-wins instantaneous value (running attempts, powered servers).
 class Gauge {
  public:
-  void set(double value) {
-    if constexpr (kCompiledIn) value_ = value;
-    else (void)value;
-  }
-  void add(double delta) {
-    if constexpr (kCompiledIn) value_ += delta;
-    else (void)delta;
-  }
+  void set(double value) { value_ = value; }
+  void add(double delta) { value_ += delta; }
 
   [[nodiscard]] double value() const { return value_; }
 
@@ -83,15 +59,11 @@ class Histogram {
   Histogram(double lo, double hi) : lo_(lo), hi_(hi > lo ? hi : lo + 1) {}
 
   void record(double v) {
-    if constexpr (kCompiledIn) {
-      ++counts_[bucket_of(v)];
-      ++count_;
-      sum_ += v;
-      if (count_ == 1 || v < min_) min_ = v;
-      if (count_ == 1 || v > max_) max_ = v;
-    } else {
-      (void)v;
-    }
+    ++counts_[bucket_of(v)];
+    ++count_;
+    sum_ += v;
+    if (count_ == 1 || v < min_) min_ = v;
+    if (count_ == 1 || v > max_) max_ = v;
   }
 
   [[nodiscard]] std::uint64_t count() const { return count_; }
@@ -147,24 +119,19 @@ class TimeSeriesMetric {
       : window_s_(window_s > 0 ? window_s : 1.0) {}
 
   void sample(double now, double value) {
-    if constexpr (kCompiledIn) {
-      const auto idx = static_cast<std::int64_t>(now / window_s_);
-      if (!live_open_ || idx != live_idx_) {
-        if (live_open_) completed_.push_back(live_);
-        live_ = Window{static_cast<double>(idx) * window_s_, 0, 0, 0, 0};
-        live_idx_ = idx;
-        live_open_ = true;
-      }
-      ++live_.count;
-      live_.sum += value;
-      if (live_.count == 1 || value < live_.min) live_.min = value;
-      if (live_.count == 1 || value > live_.max) live_.max = value;
-      ++total_count_;
-      total_sum_ += value;
-    } else {
-      (void)now;
-      (void)value;
+    const auto idx = static_cast<std::int64_t>(now / window_s_);
+    if (!live_open_ || idx != live_idx_) {
+      if (live_open_) completed_.push_back(live_);
+      live_ = Window{static_cast<double>(idx) * window_s_, 0, 0, 0, 0};
+      live_idx_ = idx;
+      live_open_ = true;
     }
+    ++live_.count;
+    live_.sum += value;
+    if (live_.count == 1 || value < live_.min) live_.min = value;
+    if (live_.count == 1 || value > live_.max) live_.max = value;
+    ++total_count_;
+    total_sum_ += value;
   }
 
   [[nodiscard]] double window_seconds() const { return window_s_; }
@@ -226,7 +193,6 @@ class Registry {
                                const std::string& unit = "");
 
   [[nodiscard]] const std::vector<std::unique_ptr<Entry>>& entries() const {
-    gate_.assert_held();
     return entries_;
   }
 
@@ -237,15 +203,10 @@ class Registry {
   void to_json(std::ostream& os) const;
 
  private:
-  Entry& fetch(const std::string& name, Type type, const std::string& unit)
-      HMR_REQUIRES(gate_);
+  Entry& fetch(const std::string& name, Type type, const std::string& unit);
 
-  // Sim-thread capability token: every component of a run records into
-  // this one registry, so it is shared state the moment handlers shard.
-  sim::SimThreadGate gate_;
-
-  std::vector<std::unique_ptr<Entry>> entries_ HMR_GUARDED_BY(gate_);
-  std::map<std::string, std::size_t> index_ HMR_GUARDED_BY(gate_);
+  std::vector<std::unique_ptr<Entry>> entries_;
+  std::map<std::string, std::size_t> index_;
 };
 
 const char* to_string(Registry::Type type);

@@ -31,18 +31,14 @@ std::uint64_t wall_now_ns() {
 }  // namespace
 
 void LogHistogram::record(std::uint64_t v) {
-  if constexpr (kCompiledIn) {
-    // bucket 0 <- 0, bucket b <- [2^(b-1), 2^b). bit_width(uint64 max) is
-    // 64, which lands in the last bucket.
-    const auto b = static_cast<std::size_t>(std::bit_width(v));
-    ++counts_[b < kBuckets ? b : kBuckets - 1];
-    ++count_;
-    sum_ += v;
-    if (count_ == 1 || v < min_) min_ = v;
-    if (count_ == 1 || v > max_) max_ = v;
-  } else {
-    (void)v;
-  }
+  // bucket 0 <- 0, bucket b <- [2^(b-1), 2^b). bit_width(uint64 max) is
+  // 64, which lands in the last bucket.
+  const auto b = static_cast<std::size_t>(std::bit_width(v));
+  ++counts_[b < kBuckets ? b : kBuckets - 1];
+  ++count_;
+  sum_ += v;
+  if (count_ == 1 || v < min_) min_ = v;
+  if (count_ == 1 || v > max_) max_ = v;
 }
 
 double LogHistogram::percentile(double p) const {
@@ -131,11 +127,6 @@ Profiler::Profiler() {
 
 void Profiler::set_watchdog(const WatchdogOptions& options,
                             std::ostream* out) {
-  if constexpr (!kCompiledIn) {
-    (void)options;
-    (void)out;
-    return;
-  }
   watchdog_ = options;
   if (watchdog_.check_every_events == 0) watchdog_.check_every_events = 2048;
   watchdog_out_ = out != nullptr ? out : &std::cerr;

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """ctest driver for scripts/analyze/hybridmr-analyze.
 
-Seven checks:
+Six checks:
 
   1. fixtures   The known-violation tree under tests/analyze/fixtures/
                 produces EXACTLY the expected (rule, file, line) set —
@@ -15,22 +15,18 @@ Seven checks:
                 refusal, never silently skip (skipped when the bindings
                 are actually importable).
   4. lint       --group=determinism finds determinism violations when
-                handed a fixture file directly and is clean over src/,
-                tests/, bench/ and examples/ (the invocation ci.sh's lint
-                stage uses).
-  5. report     --group=concurrency --shared-state-report emits the
-                layer-keyed census: sanctioned fixture statics appear as
-                annotated sites, acknowledged cross-machine handlers as
-                report-only entries, and the real src/ report lists the
-                annotated core sites (EventQueue heap_, coordinator
-                dirty-set).
-  6. exit codes 0 clean / 1 findings / 2 configuration-or-internal
-                error: unknown rules, --shared-state-report without the
-                concurrency rules, and an unwritable report path must
-                all exit 2, never 0 or 1.
-  7. catalog    --list-rules prints every registered rule; --sarif
+                handed a fixture file directly, flags exactly the
+                determinism fixtures of the whole tree (rng-discipline,
+                mutation-outside-drain and shared-mutable-state included)
+                and is clean over src/, tests/, bench/ and examples/ (the
+                invocation ci.sh's lint stage uses).
+  5. catalog    --list-rules prints every registered rule; --sarif
                 emits a parseable SARIF 2.1.0 log whose results agree
                 with the findings.
+  6. exit codes 0 clean / 1 findings / 2 configuration-or-internal
+                error: unknown rules, unknown groups (the retired
+                `concurrency` group among them) and an unwritable report
+                path must all exit 2, never 0 or 1.
 """
 
 from __future__ import annotations
@@ -75,13 +71,13 @@ EXPECTED = sorted([
     ("rng-discipline", "src/sim/conc_rng_bad.cc", 9),
     ("mutation-outside-drain", "src/cluster/conc_mutate_bad.cc", 18),
     ("mutation-outside-drain", "src/cluster/conc_mutate_bad.cc", 19),
-    ("handler-cross-machine", "src/cluster/conc_handler_bad.cc", 19),
 ])
 
 # The determinism-group subset of EXPECTED (the lint stage's rules).
 DETERMINISM_RULES = {"wall-clock", "unordered-iteration",
                      "unordered-accumulation", "simtime-eq",
-                     "eager-recompute"}
+                     "eager-recompute", "mutation-outside-drain",
+                     "rng-discipline", "shared-mutable-state"}
 DETERMINISM_EXPECTED = [e for e in EXPECTED if e[0] in DETERMINISM_RULES]
 
 failures: list[str] = []
@@ -143,57 +139,28 @@ check("determinism group omits other groups' rules",
       "[dim-raw-double]" not in p.stdout
       and "[capture-lifetime]" not in p.stdout, p.stdout)
 
+with tempfile.TemporaryDirectory() as td:
+    out = Path(td) / "determinism.json"
+    p = run(*LINT, "--root", str(FIXTURES), "--no-baseline",
+            "--json", str(out), str(FIXTURES / "src"))
+    check("determinism group over the fixture tree exits 1",
+          p.returncode == 1, f"exit {p.returncode}\n{p.stderr}")
+    got = sorted((f["rule"], f["file"], f["line"]) for f in
+                 json.loads(out.read_text(encoding="utf-8"))["findings"])
+    check("determinism group flags exactly its fixtures",
+          got == DETERMINISM_EXPECTED,
+          f"got={got}\nwant={DETERMINISM_EXPECTED}")
+    for rule in ("rng-discipline", "mutation-outside-drain",
+                 "shared-mutable-state"):
+        check(f"determinism group flags the {rule} fixtures",
+              any(r == rule for r, _f, _l in got), str(got))
+
 p = run(*LINT, str(REPO / "src"), str(REPO / "tests"),
         str(REPO / "bench"), str(REPO / "examples"))
 check("determinism group clean over src/tests/bench/examples (exit 0)",
       p.returncode == 0, f"exit {p.returncode}\n{p.stdout}")
 
-# --- 5. shared-state report content ------------------------------------
-with tempfile.TemporaryDirectory() as td:
-    report_path = Path(td) / "report.json"
-    p = run(str(ANALYZE), "--root", str(FIXTURES), "--no-baseline",
-            "--engine", "tokens", "--group", "concurrency",
-            "--shared-state-report", str(report_path),
-            str(FIXTURES / "src"))
-    check("fixture concurrency group exits 1", p.returncode == 1,
-          f"exit {p.returncode}\n{p.stdout}\n{p.stderr}")
-    report = json.loads(report_path.read_text(encoding="utf-8"))
-    sim_sites = {(s["identifier"], s["annotated"])
-                 for s in report["shared_state"].get("sim", [])}
-    check("sanctioned fixture static is an annotated report site",
-          ("sanctioned_counter", True) in sim_sites, str(sim_sites))
-    check("violating fixture static is an unannotated report site",
-          ("bad_counter", False) in sim_sites, str(sim_sites))
-    handlers = {(h["file"], h["line"], h["acknowledged"])
-                for h in report["cross_machine_handlers"]}
-    check("flagged cross-machine handler appears unacknowledged",
-          ("src/cluster/conc_handler_bad.cc", 19, False) in handlers,
-          str(handlers))
-    check("marked cross-machine handler appears acknowledged, not flagged",
-          ("src/cluster/conc_handler_bad.cc", 29, True) in handlers,
-          str(handlers))
-
-    src_report = Path(td) / "src_report.json"
-    p = run(str(ANALYZE), "--engine", "tokens", "--group", "concurrency",
-            "--shared-state-report", str(src_report), str(REPO / "src"))
-    check("src/ concurrency group is clean (exit 0)", p.returncode == 0,
-          f"exit {p.returncode}\n{p.stdout}")
-    report = json.loads(src_report.read_text(encoding="utf-8"))
-    annotated = {(s["file"], s["identifier"])
-                 for layer in report["shared_state"].values()
-                 for s in layer if s["annotated"]}
-    for site in [("src/sim/event_queue.h", "heap_"),
-                 ("src/cluster/realloc.h", "dirty_"),
-                 ("src/telemetry/metrics.h", "entries_"),
-                 ("src/sim/log.h", "sink")]:
-        check(f"src/ census lists annotated site {site[1]}",
-              site in annotated, str(sorted(annotated)))
-    check("src/ census has no unannotated shared state",
-          all(s["annotated"]
-              for layer in report["shared_state"].values() for s in layer),
-          str(report["shared_state"]))
-
-# --- 7. rule catalog and SARIF output ----------------------------------
+# --- 5. rule catalog and SARIF output ----------------------------------
 p = run(str(ANALYZE), "--list-rules")
 check("--list-rules exits 0", p.returncode == 0, f"exit {p.returncode}")
 for rule in ["dim-raw-double", "layer-cycle", "capture-lifetime",
@@ -229,13 +196,12 @@ p = run(str(ANALYZE), "--rules", "no-such-rule", str(REPO / "src"))
 check("unknown rule exits 2", p.returncode == 2, f"exit {p.returncode}")
 p = run(str(ANALYZE), "--group", "no-such-group", str(REPO / "src"))
 check("unknown group exits 2", p.returncode == 2, f"exit {p.returncode}")
-p = run(str(ANALYZE), "--rules", "dimensions",
-        "--shared-state-report", "anywhere.json", str(REPO / "src"))
-check("--shared-state-report without concurrency rules exits 2",
-      p.returncode == 2, f"exit {p.returncode}\n{p.stderr}")
-p = run(str(ANALYZE), "--engine", "tokens", "--group", "concurrency",
-        "--shared-state-report", "/nonexistent-dir/report.json",
-        str(REPO / "src"))
+p = run(str(ANALYZE), "--group", "concurrency", str(REPO / "src"))
+check("retired concurrency group exits 2 as unknown",
+      p.returncode == 2 and "unknown rule or group 'concurrency'" in p.stderr,
+      f"exit {p.returncode}\n{p.stderr}")
+p = run(str(ANALYZE), "--engine", "tokens", "--group", "determinism",
+        "--json", "/nonexistent-dir/report.json", str(REPO / "src"))
 check("unwritable report path exits 2 (internal error, not findings)",
       p.returncode == 2, f"exit {p.returncode}\n{p.stderr}")
 check("internal error names itself on stderr",

@@ -11,7 +11,7 @@ static const int kFineConst = 3;           // clean: immutable
 static constexpr double kFineConstexpr{2}; // clean: immutable
 inline constexpr int kFineInline = 9;      // clean: immutable
 
-// hmr-shared(process-global): sanctioned site — report-only, no finding.
+// hmr-shared(process-global): sanctioned site — no finding.
 static int sanctioned_counter = 0;
 
 // sim-lint: allow(shared-mutable-state)

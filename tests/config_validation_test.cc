@@ -1,11 +1,13 @@
-// Bad configurations fail fast at the library boundary: TestBed's cluster
-// builders, MapReduceEngine::submit and Hdfs::stage_file throw
-// std::invalid_argument with a message naming the offending field, instead
-// of a SIGFPE, an abort or a run that never ends deep inside the stack.
+// Bad configurations fail fast at the library boundary: TestBed's
+// constructor (calibration and fault schedule), its cluster builders,
+// MapReduceEngine::submit and Hdfs::stage_file throw std::invalid_argument
+// with a message naming the offending field, instead of a SIGFPE, an abort
+// or a run that never ends deep inside the stack.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <limits>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 
@@ -21,6 +23,10 @@ struct BadConfig {
   const char* field;  // must appear in the exception message
 };
 
+// Prints the row name, so the test ids that list the parameter value stay
+// the same from build to build.
+void PrintTo(const BadConfig& c, std::ostream* os) { *os << c.name; }
+
 // Submits `spec` on a small, otherwise valid cluster.
 std::function<void(TestBed&)> submit(mapred::JobSpec spec) {
   return [spec](TestBed& bed) {
@@ -33,6 +39,16 @@ mapred::JobSpec sort_with(const std::function<void(mapred::JobSpec&)>& edit) {
   mapred::JobSpec spec = workload::sort_job().with_input_gb(1);
   edit(spec);
   return spec;
+}
+
+// Constructs a second TestBed from default options edited by `edit`.
+std::function<void(TestBed&)> construct(
+    std::function<void(TestBed::Options&)> edit) {
+  return [edit](TestBed&) {
+    TestBed::Options options;
+    edit(options);
+    TestBed bed(options);
+  };
 }
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
@@ -85,6 +101,67 @@ const BadConfig kBadConfigs[] = {
        bed.hdfs().stage_file("input", sim::MegaBytes{256});
      },
      "DataNode"},
+    {"pm_cores_zero",
+     construct([](auto& o) { o.calibration.pm_cores = 0; }), "pm_cores"},
+    {"pm_memory_mb_negative",
+     construct([](auto& o) {
+       o.calibration.pm_memory_mb = sim::MegaBytes{-1};
+     }),
+     "pm_memory_mb"},
+    {"pm_disk_mbps_nan",
+     construct([](auto& o) { o.calibration.pm_disk_mbps = sim::MBps{kNaN}; }),
+     "pm_disk_mbps"},
+    {"pm_net_mbps_inf",
+     construct([](auto& o) { o.calibration.pm_net_mbps = sim::MBps{kInf}; }),
+     "pm_net_mbps"},
+    {"vm_vcpus_zero",
+     construct([](auto& o) { o.calibration.vm_vcpus = 0; }), "vm_vcpus"},
+    {"vm_memory_mb_nan",
+     construct([](auto& o) {
+       o.calibration.vm_memory_mb = sim::MegaBytes{kNaN};
+     }),
+     "vm_memory_mb"},
+    {"hdfs_block_mb_zero",
+     construct([](auto& o) {
+       o.calibration.hdfs_block_mb = sim::MegaBytes{0};
+     }),
+     "hdfs_block_mb"},
+    {"heartbeat_s_negative",
+     construct([](auto& o) { o.calibration.heartbeat_s = -1; }),
+     "heartbeat_s"},
+    {"control_epoch_s_inf",
+     construct([](auto& o) { o.calibration.control_epoch_s = kInf; }),
+     "control_epoch_s"},
+    {"map_slots_per_node_zero",
+     construct([](auto& o) { o.calibration.map_slots_per_node = 0; }),
+     "map_slots_per_node"},
+    {"reduce_slots_per_node_negative",
+     construct([](auto& o) { o.calibration.reduce_slots_per_node = -1; }),
+     "reduce_slots_per_node"},
+    {"hdfs_replicas_zero",
+     construct([](auto& o) { o.calibration.hdfs_replicas = 0; }),
+     "hdfs_replicas"},
+    {"peak_watts_below_idle",
+     construct([](auto& o) { o.calibration.pm_peak_watts = sim::Watts{100}; }),
+     "pm_peak_watts"},
+    {"task_failure_rate_negative",
+     construct([](auto& o) { o.faults.task_failure_rate = -0.1; }),
+     "task_failure_rate"},
+    {"crash_rate_nan",
+     construct([](auto& o) { o.faults.crash_rate = kNaN; }), "crash_rate"},
+    {"one_shot_at_negative",
+     construct([](auto& o) {
+       faults::FaultSpec spec;
+       spec.at = -5;
+       o.faults.one_shot.push_back(spec);
+     }),
+     "one_shot.at"},
+    {"rate_without_horizon",
+     construct([](auto& o) {
+       o.faults.task_failure_rate = 0.01;
+       o.faults.rate_horizon_s = 0;
+     }),
+     "rate_horizon_s"},
 };
 
 class BadConfigTest : public ::testing::TestWithParam<BadConfig> {};
@@ -115,6 +192,16 @@ TEST(GoodConfig, ZeroCountsAddNothingAndTinyInputsRun) {
   mapred::Job* job = bed.mr().submit(workload::sort_job().with_input_gb(1e-3));
   bed.sim().run();
   EXPECT_TRUE(job->finished() && job->succeeded());
+}
+
+TEST(GoodConfig, EdgeOptionsConstruct) {
+  TestBed::Options options;
+  options.calibration.pm_peak_watts = options.calibration.pm_idle_watts;
+  options.faults.rate_horizon_s = 0;  // no rate stream, so no horizon needed
+  faults::FaultSpec spec;
+  spec.at = 0;
+  options.faults.one_shot.push_back(spec);
+  EXPECT_NO_THROW(TestBed{options});
 }
 
 }  // namespace

@@ -60,6 +60,60 @@ TEST_F(ReallocTest, BurstCoalescesToOneRecompute) {
   EXPECT_EQ(m->recompute_count(), c0 + 1);
 }
 
+// Once the loop has drained and the flush hooks have run, the read barrier
+// is a pure read: ensure_clean(), allocation-dependent reads and reads
+// routed through a hosted VM recompute nothing, and repeated reads return
+// bitwise-equal values.
+TEST_F(ReallocTest, DrainedMachineReadsArePure) {
+  std::vector<Machine*> machines = cluster.add_machines(4);
+  for (std::size_t i = 0; i < machines.size(); ++i) {
+    Resources native;
+    native.cpu = 1.5;
+    native.disk = 40.0;
+    machines[i]->add(std::make_shared<Workload>(
+        "native-" + std::to_string(i), native, Workload::kService));
+    Resources virt;
+    virt.cpu = 0.75;
+    virt.disk = 10.0;
+    cluster.add_vm(*machines[i])
+        ->add(std::make_shared<Workload>("virt-" + std::to_string(i), virt,
+                                         Workload::kService));
+  }
+  sim.run();
+  sim.flush();
+  for (Machine* m : machines) m->ensure_clean();
+
+  constexpr ResourceKind kKinds[] = {ResourceKind::kCpu, ResourceKind::kMemory,
+                                     ResourceKind::kDisk, ResourceKind::kNet};
+  std::vector<std::uint64_t> recomputes;
+  std::vector<double> snapshot;
+  for (Machine* m : machines) {
+    recomputes.push_back(m->recompute_count());
+    for (ResourceKind kind : kKinds) snapshot.push_back(m->utilization(kind));
+  }
+
+  for (int pass = 0; pass < 3; ++pass) {
+    std::size_t idx = 0;
+    for (Machine* m : machines) {
+      m->ensure_clean();
+      for (ResourceKind kind : kKinds) {
+        const double u = m->utilization(kind);
+        EXPECT_EQ(std::memcmp(&u, &snapshot[idx], sizeof u), 0)
+            << "pass " << pass << " read " << idx;
+        ++idx;
+      }
+      for (VirtualMachine* vm : m->vms()) {
+        EXPECT_EQ(vm->host_machine(), m);
+        vm->host_machine()->ensure_clean();
+      }
+    }
+  }
+  for (std::size_t i = 0; i < machines.size(); ++i) {
+    EXPECT_EQ(machines[i]->recompute_count(), recomputes[i])
+        << "a read recomputed drained machine " << i;
+  }
+}
+
 // Reads of allocation-dependent state self-clean: no caller can observe
 // the pre-mutation shares, flushed or not.
 TEST_F(ReallocTest, ReadsAreNeverStale) {
